@@ -1,8 +1,11 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark regenerates one of the paper's artefacts (see DESIGN.md's
-per-experiment index) at laptop scale and prints the resulting table —
-run with ``pytest benchmarks/ --benchmark-only -s`` to see them.
+Each benchmark regenerates one of the paper's artefacts (see the
+experiment index in ``repro.experiments`` and the harness section of
+``docs/engine.md``) at laptop scale and prints the resulting table —
+run with ``pytest benchmarks/ --benchmark-only -s`` to see them.  The
+repository's end-to-end benchmark is separate: ``perfbench/``, with its
+workloads described in ``perfbench/WORKLOADS.md``.
 """
 
 import random

@@ -51,7 +51,7 @@ def test_figure4_regeneration(benchmark):
             seed=11,
         )
 
-    series = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    series, _report = benchmark.pedantic(experiment, rounds=1, iterations=1)
     print()
     print(render_series(
         "Figure 4 — average relative performance t(Q+)/t(Q)",

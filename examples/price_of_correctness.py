@@ -2,7 +2,9 @@
 
 A condensed version of the Section 7 experiment: run Q1–Q4 and their
 certain-answer rewritings on a DBGen-style instance and report the
-relative performance ``t(Q+)/t(Q)``.  Also demonstrates the optimizer
+relative performance ``t(Q+)/t(Q)``.  Every timing is cold: the best of
+a few runs, each on a fresh executor with no index or cache left over
+from an earlier run.  Also demonstrates the optimizer
 story with EXPLAIN: the unsplit ``Q+4`` plan carries nested loops and an
 astronomical cost estimate, which disjunction splitting + views repair.
 
@@ -27,7 +29,7 @@ def main() -> None:
     schema = tpch_schema()
     db = inject_nulls(generate_instance(scale=1.0, seed=7), 0.03, seed=8)
 
-    print("Relative performance t(Q+)/t(Q) at null rate 3% (scale unit 1):\n")
+    print("Relative cold performance t(Q+)/t(Q) at null rate 3% (scale unit 1):\n")
     for qid in ("Q1", "Q2", "Q3", "Q4"):
         original_sql, _appendix, _names = QUERIES[qid]
         original = parse_sql(original_sql)

@@ -10,6 +10,7 @@ correct query is *faster* (Q2's short-circuit); above 1 it is slower
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union as TUnion
@@ -34,12 +35,7 @@ __all__ = [
     "time_query",
     "rewritten_queries",
     "main",
-    "LAST_RUN",
 ]
-
-#: Fault-tolerance report of the most recent harness run (rebound, not
-#: mutated, per call — the ``LAST_SEARCH`` idiom).
-LAST_RUN = RunReport()
 
 
 def time_query(
@@ -48,24 +44,34 @@ def time_query(
     params: Dict[str, object],
     repeats: int = 3,
 ) -> Tuple[float, int]:
-    """Best-of-*repeats* wall-clock execution time and result size.
+    """Best-of-*repeats* cold execution time and result size.
 
-    ``query`` may be SQL text or an already-parsed statement.  The
-    statement is prepared once (through the plan cache when given as
-    text) and re-run ``repeats`` times, so the repeats measure evaluation
-    rather than parsing and recompilation.
+    ``query`` may be SQL text (parsed once through the plan cache, so
+    parsing is not timed) or an already-parsed statement.  Every repeat
+    prepares and runs the statement on a fresh :class:`Executor`, so no
+    hash index, probe table, memo cache or CTE materialisation survives
+    from an earlier repeat: each repeat times the same cold evaluation.
+    As in :mod:`timeit`, the cyclic garbage collector is paused while
+    timing: a collection triggered by earlier allocations costs
+    milliseconds, an order of magnitude more than a sub-millisecond
+    query such as Q2+ at small scales.
     """
     if isinstance(query, str):
         query = PLAN_CACHE.get_or_parse(query, False)
-    prepared = Executor(db, params).prepare(ast.query_of(query))
+    query = ast.query_of(query)
     best = float("inf")
     size = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = prepared.run()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        size = len(result)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = Executor(db, params).prepare(query).run()
+            best = min(best, time.perf_counter() - start)
+            size = len(result)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return best, size
 
 
@@ -93,15 +99,17 @@ def rewritten_queries(
     return out
 
 
-def _instance_ratios(task: tuple) -> Dict[str, object]:
-    """One instance's worth of Figure 4 measurements (pool worker body).
+def _cell_ratios(task: tuple) -> Dict[str, object]:
+    """One cell's measurements: a fresh instance, its draws, cold timings.
 
-    Returns a JSON-serialisable ``{"ratios": {qid: [t+/t, …]},
-    "discarded": n}`` so results survive checkpoint round-trips;
-    ``discarded`` counts samples dropped by the ``t_orig > 0`` guard.
+    This is the task-runner worker body shared by Figure 4 and Table 1.
+    Returns JSON-serialisable ``{"ratios": {qid: [t+/t, …]}, "rows":
+    {qid: [[n_Q, n_Q+], …]}, "discarded": n}`` so results survive
+    checkpoint round-trips; ``rows`` holds every draw's result sizes and
+    ``discarded`` counts ratios dropped by the ``t_orig > 0`` guard.
     """
     (
-        key, rate, scale, instance_seed, null_seed, param_seed,
+        key, scale, rate, instance_seed, null_seed, param_seed,
         query_ids, param_draws, repeats, use_appendix, options,
     ) = task
     check_task_fault(key)
@@ -110,18 +118,55 @@ def _instance_ratios(task: tuple) -> Dict[str, object]:
     db = inject_nulls(base, rate, seed=null_seed)
     rng = random.Random(param_seed)
     ratios: Dict[str, List[float]] = {qid: [] for qid in query_ids}
+    rows: Dict[str, List[List[int]]] = {qid: [] for qid in query_ids}
     discarded = 0
     for qid in query_ids:
         original, plus = queries[qid]
         for _ in range(param_draws):
             params = sample_parameters(qid, db, rng=rng)
-            t_orig, _n = time_query(db, original, params, repeats)
-            t_plus, _n = time_query(db, plus, params, repeats)
+            t_orig, n_orig = time_query(db, original, params, repeats)
+            t_plus, n_plus = time_query(db, plus, params, repeats)
+            rows[qid].append([n_orig, n_plus])
             if t_orig > 0:
                 ratios[qid].append(t_plus / t_orig)
             else:
                 discarded += 1
-    return {"ratios": ratios, "discarded": discarded}
+    return {"ratios": ratios, "rows": rows, "discarded": discarded}
+
+
+def _measure_cells(
+    cells: Dict[str, Tuple[float, float]],
+    seed: int,
+    query_ids: Tuple[str, ...],
+    param_draws: int,
+    repeats: int,
+    use_appendix: bool = False,
+    options: Optional[RewriteOptions] = None,
+    **run_options,
+) -> Tuple[Dict[str, Dict], RunReport]:
+    """Measure ``cells`` (``{key: (generator scale, null rate)}``).
+
+    Every cell's instance, null and parameter seeds are drawn from
+    ``seed`` up front, in cell order, so a cell samples the same stream
+    whatever the worker count and whether or not it resumes from a
+    checkpoint.  Returns the :func:`~repro.experiments.runner.run_tasks`
+    ``(results, report)`` for ``run_options``, with the cells' discarded
+    samples summed into the report.
+    """
+    rng = random.Random(seed)
+    tasks = {
+        key: (
+            key, scale, rate, rng.randrange(2**31), rng.randrange(2**31),
+            rng.randrange(2**31), query_ids, param_draws, repeats,
+            use_appendix, options,
+        )
+        for key, (scale, rate) in cells.items()
+    }
+    results, report = run_tasks(
+        _cell_ratios, tasks, rng=random.Random(rng.randrange(2**31)), **run_options
+    )
+    report.discarded_samples = sum(res["discarded"] for res in results.values())
+    return results, report
 
 
 def run_price_of_correctness(
@@ -140,101 +185,49 @@ def run_price_of_correctness(
     backoff: float = 0.1,
     checkpoint: Optional[str] = None,
     cancel: Optional[CancelToken] = None,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Return ``{query: [(null rate %, avg t+/t), …]}`` (Figure 4).
+) -> Tuple[Dict[str, List[Tuple[float, float]]], RunReport]:
+    """Return ``({query: [(null rate %, avg t+/t), …]}, report)`` (Figure 4).
 
     The paper uses 10 instances × 5 parameter draws × 3 runs per point
     on ≥1 GB databases; the defaults keep a bench run in seconds while
-    preserving the relative-performance shape.
+    preserving the relative-performance shape.  Each timing is the best
+    of ``repeats`` cold runs (see :func:`time_query`).
 
-    ``workers`` fans the per-instance measurements out over a
-    fault-tolerant task runner (:mod:`repro.experiments.runner`): each
-    instance is its own task with a ``task_timeout``, up to ``retries``
-    re-submissions with jittered ``backoff``, and failures are recorded
-    in ``LAST_RUN.failed_instances`` (keyed ``"<rate>:<instance>"``)
-    instead of sinking the run.  ``checkpoint`` names a JSON file
-    updated after every completed instance; re-running with the same
-    file skips instances already measured.  A checkpoint also routes a
-    serial run (``workers in (None, 0, 1)``) through the task runner;
-    otherwise the serial path bit-reproduces the historical parameter
-    stream.  Parallel/task runs draw each instance's parameters from an
-    independent seeded stream, so results are deterministic per seed but
-    differ from the serial stream.
+    Each instance is one task of the fault-tolerant task runner
+    (:mod:`repro.experiments.runner`), inline when ``workers`` is
+    ``None``/``1`` and over a process pool otherwise; the sampled
+    parameter stream depends on ``seed`` only.  A task gets a
+    ``task_timeout`` and up to ``retries`` re-submissions with jittered
+    ``backoff``; failures are recorded in ``report.failed_instances``
+    (keyed ``"<rate>:<instance>"``) instead of sinking the run, and a
+    point with no surviving instance is NaN.  ``checkpoint`` names a
+    JSON file updated after every completed instance; re-running with
+    the same file skips instances already measured.
 
     ``cancel`` accepts a :class:`~repro.engine.limits.CancelToken`
     another thread may fire (the CLI's ``--time-budget`` arms one on a
     timer): the harness stops at the next instance boundary, keeps the
     measurements (and checkpoint) completed so far, and reports
-    ``LAST_RUN.cancelled = True``.
+    ``report.cancelled = True``.
     """
-    global LAST_RUN
     null_rates = tuple(null_rates)
     query_ids = tuple(query_ids)
-    rng = random.Random(seed)
+    cells = {
+        f"{rate:g}:{i}": (scale, rate) for rate in null_rates for i in range(instances)
+    }
+    results, report = _measure_cells(
+        cells, seed, query_ids, param_draws, repeats, use_appendix, options,
+        workers=workers, task_timeout=task_timeout, retries=retries,
+        backoff=backoff, checkpoint=checkpoint, cancel=cancel,
+    )
     series: Dict[str, List[Tuple[float, float]]] = {qid: [] for qid in query_ids}
-
-    if (workers is not None and workers > 1) or checkpoint is not None:
-        tasks: Dict[str, tuple] = {}
-        for rate in null_rates:
-            for i in range(instances):
-                key = f"{rate:g}:{i}"
-                tasks[key] = (
-                    key, rate, scale, rng.randrange(2**31), rng.randrange(2**31),
-                    rng.randrange(2**31), query_ids, param_draws, repeats,
-                    use_appendix, options,
-                )
-        results, report = run_tasks(
-            _instance_ratios,
-            tasks,
-            workers=workers,
-            task_timeout=task_timeout,
-            retries=retries,
-            backoff=backoff,
-            checkpoint=checkpoint,
-            rng=random.Random(rng.randrange(2**31)),
-            cancel=cancel,
-        )
-        for rate in null_rates:
-            per_instance = [
-                results[f"{rate:g}:{i}"]
-                for i in range(instances)
-                if f"{rate:g}:{i}" in results
-            ]
-            report.discarded_samples += sum(res["discarded"] for res in per_instance)
-            for qid in query_ids:
-                values = [r for res in per_instance for r in res["ratios"][qid]]
-                avg = sum(values) / len(values) if values else float("nan")
-                series[qid].append((round(rate * 100, 2), avg))
-        LAST_RUN = report
-        return series
-
-    report = RunReport(total=len(null_rates) * instances)
-    queries = rewritten_queries(query_ids, use_appendix=use_appendix, options=options)
     for rate in null_rates:
-        ratios: Dict[str, List[float]] = {qid: [] for qid in query_ids}
-        for _ in range(instances):
-            if cancel is not None and cancel.cancelled:
-                report.cancelled = True
-                break
-            base = generate_instance(scale=scale, seed=rng.randrange(2**31))
-            db = inject_nulls(base, rate, seed=rng.randrange(2**31))
-            for qid in query_ids:
-                original, plus = queries[qid]
-                for _ in range(param_draws):
-                    params = sample_parameters(qid, db, rng=rng)
-                    t_orig, _n = time_query(db, original, params, repeats)
-                    t_plus, _n = time_query(db, plus, params, repeats)
-                    if t_orig > 0:
-                        ratios[qid].append(t_plus / t_orig)
-                    else:
-                        report.discarded_samples += 1
-            report.completed += 1
+        at_rate = [results[k] for k in cells if k in results and cells[k][1] == rate]
         for qid in query_ids:
-            values = ratios[qid]
+            values = [r for res in at_rate for r in res["ratios"][qid]]
             avg = sum(values) / len(values) if values else float("nan")
             series[qid].append((round(rate * 100, 2), avg))
-    LAST_RUN = report
-    return series
+    return series, report
 
 
 def main(
@@ -244,7 +237,7 @@ def main(
     checkpoint: Optional[str] = None,
     cancel: Optional[CancelToken] = None,
 ) -> str:
-    series = run_price_of_correctness(
+    series, report = run_price_of_correctness(
         workers=workers,
         task_timeout=task_timeout,
         retries=retries,
@@ -257,17 +250,7 @@ def main(
         series,
         y_format=format_ratio,
     )
-    if LAST_RUN.cancelled:
-        text += (
-            f"\ncancelled after {LAST_RUN.completed + LAST_RUN.resumed}"
-            f"/{LAST_RUN.total} instances"
-            + (f" ({cancel.reason})" if cancel is not None and cancel.reason else "")
-        )
-    if LAST_RUN.failed_instances:
-        failures = ", ".join(
-            f"{f.key} ({f.error})" for f in LAST_RUN.failed_instances
-        )
-        text += f"\nfailed instances: {failures}"
+    text += report.summary("instances", cancel)
     print(text)
     return text
 

@@ -59,8 +59,8 @@ class TaskFailure:
 class RunReport:
     """What happened to a fault-tolerant harness run.
 
-    Rebound (not mutated) into the harness modules' ``LAST_RUN`` after
-    each run, following the ``certain.bruteforce.LAST_SEARCH`` idiom.
+    Returned by :func:`run_tasks`, and by the Figure 4 / Table 1
+    harnesses next to their results.
     """
 
     total: int = 0
@@ -78,6 +78,24 @@ class RunReport:
     @property
     def failed(self) -> int:
         return len(self.failed_instances)
+
+    def summary(self, unit: str, cancel: Optional[CancelToken] = None) -> str:
+        """Footer lines for a rendered run: cancellation and failures.
+
+        Empty for a clean run; each line starts with a newline so the
+        result appends directly to the rendered figure or table.
+        """
+        text = ""
+        if self.cancelled:
+            reason = f" ({cancel.reason})" if cancel is not None and cancel.reason else ""
+            text += (
+                f"\ncancelled after {self.completed + self.resumed}/{self.total}"
+                f" {unit}{reason}"
+            )
+        if self.failed_instances:
+            failures = ", ".join(f"{f.key} ({f.error})" for f in self.failed_instances)
+            text += f"\nfailed instances: {failures}"
+        return text
 
 
 def load_checkpoint(path: Optional[str]) -> Dict[str, object]:

@@ -1,13 +1,22 @@
 """Experiment harnesses on miniature settings: structure and shapes."""
 
 import math
+import random
 
-
+from repro.experiments import performance
 from repro.experiments.falsepos import run_false_positive_experiment
 from repro.experiments.infeasible import run_infeasibility_experiment
-from repro.experiments.performance import rewritten_queries, run_price_of_correctness
+from repro.experiments.performance import (
+    rewritten_queries,
+    run_price_of_correctness,
+    time_query,
+)
 from repro.experiments.recall import run_recall_experiment
+from repro.experiments.runner import run_tasks
 from repro.experiments.scaling import run_scaling_experiment
+from repro.tpch.dbgen import generate_instance
+from repro.tpch.nullify import inject_nulls
+from repro.tpch.queries import sample_parameters
 
 
 class TestFalsePositives:
@@ -30,9 +39,32 @@ class TestFalsePositives:
         assert series["Q3"][-1][1] > 10.0
 
 
+class TestTimeQuery:
+    def test_every_repeat_is_cold(self, monkeypatch):
+        """Each repeat runs on a fresh executor, so no index, probe table
+        or memo from an earlier repeat is reused: every repeat does the
+        same (non-zero) work."""
+        executors = []
+
+        class CountingExecutor(performance.Executor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                executors.append(self)
+
+        monkeypatch.setattr(performance, "Executor", CountingExecutor)
+        db = inject_nulls(generate_instance(scale=0.1, seed=1), 0.03, seed=2)
+        params = sample_parameters("Q4", db, rng=random.Random(0))
+        for query in rewritten_queries(("Q4",))["Q4"]:
+            executors.clear()
+            time_query(db, query, params, repeats=3)
+            work = [executor.ctx.rows_examined for executor in executors]
+            assert len(work) == 3
+            assert work[0] > 0 and len(set(work)) == 1
+
+
 class TestPriceOfCorrectness:
     def test_structure(self):
-        series = run_price_of_correctness(
+        series, _report = run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.2,
             instances=1,
@@ -54,7 +86,7 @@ class TestPriceOfCorrectness:
     def test_q2_wins_q4_pays(self):
         """The Figure 4 shape at reduced scale: Q+2 at least 2x faster,
         Q+4 slower than the original."""
-        series = run_price_of_correctness(
+        series, _report = run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.5,
             instances=1,
@@ -71,7 +103,7 @@ class TestParallelHarness:
     """workers= fans instances out over a process pool; shapes must match."""
 
     def test_price_of_correctness_parallel_structure(self):
-        series = run_price_of_correctness(
+        series, _report = run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.1,
             instances=2,
@@ -96,14 +128,44 @@ class TestParallelHarness:
             query_ids=("Q1",),
             workers=2,
         )
-        a = run_price_of_correctness(**kwargs)
-        b = run_price_of_correctness(**kwargs)
+        a, _ = run_price_of_correctness(**kwargs)
+        b, _ = run_price_of_correctness(**kwargs)
         # Timing ratios jitter, but the structure and the sampled points
         # (rates, instance seeds → result sizes) are reproducible.
         assert [x for x, _ in a["Q1"]] == [x for x, _ in b["Q1"]]
 
+    def test_worker_count_does_not_change_the_sampled_stream(self, monkeypatch):
+        """One parameter stream per seed: the inline (workers=1) and pool
+        (workers=2) runs measure the same instances and draws, so every
+        cell's result sizes agree."""
+        cell_results = []
+
+        def recording_run_tasks(*args, **kwargs):
+            results, report = run_tasks(*args, **kwargs)
+            cell_results.append(results)
+            return results, report
+
+        monkeypatch.setattr(performance, "run_tasks", recording_run_tasks)
+        for workers in (1, 2):
+            run_price_of_correctness(
+                null_rates=(0.02, 0.05),
+                scale=0.1,
+                instances=2,
+                param_draws=2,
+                repeats=1,
+                seed=9,
+                query_ids=("Q2", "Q3"),
+                workers=workers,
+            )
+        inline, pooled = (
+            {key: res["rows"] for key, res in results.items()}
+            for results in cell_results
+        )
+        assert len(inline) == 4
+        assert inline == pooled
+
     def test_scaling_parallel_structure(self):
-        table = run_scaling_experiment(
+        table, _report = run_scaling_experiment(
             scales=(1.0,),
             null_rates=(0.03,),
             param_draws=1,
@@ -119,7 +181,7 @@ class TestParallelHarness:
 
 class TestScaling:
     def test_structure(self):
-        table = run_scaling_experiment(
+        table, _report = run_scaling_experiment(
             scales=(1.0, 2.0),
             null_rates=(0.03,),
             param_draws=1,

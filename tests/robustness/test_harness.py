@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+from repro.engine.limits import CancelToken
 from repro.experiments import performance
-from repro.experiments.runner import RunReport, run_tasks
+from repro.experiments.runner import RunReport, TaskFailure, run_tasks
 from repro.testing import faults
 
 
@@ -120,6 +121,26 @@ class TestRunTasksPool:
         assert failure.key == "1"
 
 
+class TestRunReportSummary:
+    def test_clean_run_has_no_footer(self):
+        assert RunReport(total=2, completed=2).summary("cells") == ""
+
+    def test_footer_reports_cancellation_and_failures(self):
+        token = CancelToken()
+        token.cancel(reason="budget")
+        report = RunReport(
+            total=4,
+            completed=1,
+            resumed=1,
+            cancelled=True,
+            failed_instances=[TaskFailure("0.03:1", "RuntimeError: boom", 1)],
+        )
+        assert report.summary("instances", token) == (
+            "\ncancelled after 2/4 instances (budget)"
+            "\nfailed instances: 0.03:1 (RuntimeError: boom)"
+        )
+
+
 class TestHardenedFigure4:
     def test_crashing_instance_reported_others_measured(self):
         """The acceptance scenario: figure4 with workers=2 and one
@@ -127,7 +148,7 @@ class TestHardenedFigure4:
         instance in failed_instances, and keeps the other measurements.
         """
         faults.install_task_fault("0.03:1", exit_code=1)
-        series = performance.run_price_of_correctness(
+        series, report = performance.run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.05,
             instances=3,
@@ -140,16 +161,16 @@ class TestHardenedFigure4:
             retries=0,
             backoff=0.0,
         )
-        report = performance.LAST_RUN
         assert [f.key for f in report.failed_instances] == ["0.03:1"]
         assert report.completed == 2
         ((x, ratio),) = series["Q1"]
         assert x == 3.0
         assert ratio > 0 and not math.isnan(ratio)
 
-    def test_all_instances_failing_yields_nan_not_crash(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_instances_failing_yields_nan_not_crash(self, workers):
         faults.install_task_fault("0.05:0", error=RuntimeError("boom"))
-        series = performance.run_price_of_correctness(
+        series, report = performance.run_price_of_correctness(
             null_rates=(0.05,),
             scale=0.05,
             instances=1,
@@ -157,17 +178,17 @@ class TestHardenedFigure4:
             repeats=1,
             seed=2,
             query_ids=("Q1",),
-            workers=2,
+            workers=workers,
             task_timeout=30.0,
             retries=0,
             backoff=0.0,
         )
-        assert performance.LAST_RUN.failed == 1
+        assert report.failed == 1
         ((_x, ratio),) = series["Q1"]
         assert math.isnan(ratio)
 
     def test_serial_run_reports_discarded_and_completed(self):
-        performance.run_price_of_correctness(
+        _series, report = performance.run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.05,
             instances=1,
@@ -176,7 +197,6 @@ class TestHardenedFigure4:
             seed=3,
             query_ids=("Q1",),
         )
-        report = performance.LAST_RUN
         assert isinstance(report, RunReport)
         assert report.completed == 1
         assert report.discarded_samples >= 0
