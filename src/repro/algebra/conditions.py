@@ -284,7 +284,8 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
             out.append(".")
         else:
             out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+    # ``\Z``, not ``$``: ``$`` also matches before a trailing newline.
+    return re.compile("".join(out) + r"\Z", re.DOTALL)
 
 
 def like_match(value: str, pattern: str) -> bool:

@@ -9,8 +9,9 @@ A :class:`CompiledBlock` is the engine's unit of execution.  Compiling a
    *equi-joins* (plain ``a = b`` across two local tables), *probes*
    (``local = <outer expression>``) and *residuals* (everything else —
    ``OR`` conditions, subquery predicates, …);
-3. compiles scalar expressions and conditions into evaluator objects
-   with SQL's three-valued semantics.
+3. builds scalar expressions and conditions as node trees, which
+   :mod:`repro.engine.compile` lowers to closures with SQL's
+   three-valued semantics.
 
 At run time the block lazily picks a greedy left-deep join order (hash
 joins on available equality keys, Cartesian products otherwise — which
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.algebra.conditions import like_match
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN, ThreeValued, from_bool
 from repro.data.nulls import Null, is_null
+from repro.engine.compile import build_batch_passes, compile_cond, compile_expr
 from repro.engine.limits import LimitGovernor, ResourceLimits
 from repro.engine.scope import CompileScope, EngineError, Resolution
 from repro.engine.stats import SourceStats, TableBytesMeter, choose_join_order
@@ -61,7 +62,6 @@ class ExecContext:
         memoize_probes: bool = True,
         decorrelate: bool = True,
         limits: Optional[ResourceLimits] = None,
-        compile_predicates: Optional[bool] = None,
     ):
         self.db = db
         self.params = dict(params or {})
@@ -93,15 +93,6 @@ class ExecContext:
         #: decorrelations abandoned because a probe-table build exceeded
         #: ``max_probe_build_rows`` — graceful degradation, not an error
         self.degradations = 0
-        #: lower predicate/expression trees to specialized closures and
-        #: run pushed filters as columnar batch passes (defaults to on;
-        #: the ``REPRO_NO_COMPILE`` env var or ``compile_predicates=False``
-        #: falls back to the interpreted ``eval`` path)
-        if compile_predicates is None:
-            from repro.engine.compile import compile_enabled
-
-            compile_predicates = compile_enabled()
-        self.compile_predicates = compile_predicates
         #: approximate bytes held by live probe/equi hash tables
         #: (:class:`~repro.engine.stats.TableBytesMeter` estimates), used
         #: to enforce ``ResourceLimits.max_probe_table_bytes``
@@ -167,14 +158,12 @@ class ExecContext:
 
 
 class _Expr:
-    """Compiled scalar expression."""
+    """Scalar expression node; :func:`~repro.engine.compile.compile_expr`
+    lowers it to a ``(cursor, env) -> value`` closure."""
 
     __slots__ = ()
     local_keys: frozenset = frozenset()
     has_outer: bool = False
-
-    def eval(self, cursor, env):  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class _Const(_Expr):
@@ -182,9 +171,6 @@ class _Const(_Expr):
 
     def __init__(self, value):
         self.value = value
-
-    def eval(self, cursor, env):
-        return self.value
 
 
 class _Col(_Expr):
@@ -195,14 +181,6 @@ class _Col(_Expr):
         self.key = resolution.key
         self.local_keys = frozenset([self.key]) if resolution.depth == 0 else frozenset()
         self.has_outer = resolution.depth > 0
-
-    def eval(self, cursor, env):
-        if self.depth == 0:
-            slot = cursor[0].get(self.key)
-            if slot is None:
-                raise EngineError(f"column {self.key} not bound yet")
-            return cursor[1][slot]
-        return env[self.key]
 
 
 class _Concat(_Expr):
@@ -216,27 +194,18 @@ class _Concat(_Expr):
         self.local_keys = keys
         self.has_outer = any(part.has_outer for part in parts)
 
-    def eval(self, cursor, env):
-        pieces = []
-        for part in self.parts:
-            value = part.eval(cursor, env)
-            if is_null(value):
-                return value  # null-propagating
-            pieces.append(str(value))
-        return "".join(pieces)
-
 
 class _ScalarSubquery(_Expr):
     """Uncorrelated scalar aggregate subquery — evaluated once, cached."""
 
-    __slots__ = ("block", "func", "arg", "_cache", "_computed")
+    __slots__ = ("block", "func", "arg_fn", "_cache", "_computed")
 
     def __init__(self, block: "CompiledBlock", func: str, arg: Optional[_Expr]):
         if block.external:
             raise EngineError("correlated scalar subqueries are not supported")
         self.block = block
         self.func = func
-        self.arg = arg
+        self.arg_fn = None if arg is None else compile_expr(arg)
         self._cache = None
         self._computed = False
 
@@ -249,13 +218,14 @@ class _ScalarSubquery(_Expr):
     def _compute(self):
         values = []
         count_star = 0
+        arg_fn = self.arg_fn
         for sub_cursor in self.block.iterate({}):
             count_star += 1
-            if self.arg is not None:
-                values.append(self.arg.eval(sub_cursor, {}))
+            if arg_fn is not None:
+                values.append(arg_fn(sub_cursor, {}))
         non_null = [v for v in values if not is_null(v)]
         if self.func == "count":
-            return count_star if self.arg is None else len(non_null)
+            return count_star if arg_fn is None else len(non_null)
         if not non_null:
             return Null()  # SQL aggregates over nothing yield NULL
         if self.func == "avg":
@@ -275,40 +245,20 @@ class _ScalarSubquery(_Expr):
 
 
 class _Cond:
+    """Three-valued condition node; :func:`~repro.engine.compile.compile_cond`
+    lowers it to a ``(cursor, env) -> ThreeValued`` closure."""
+
     __slots__ = ()
     local_keys: frozenset = frozenset()
     has_outer: bool = False
 
-    def eval(self, cursor, env) -> ThreeValued:  # pragma: no cover - abstract
-        raise NotImplementedError
 
-
-def _compare(op: str, a, b, marked: bool = False) -> ThreeValued:
+def _equals(a, b, marked: bool = False) -> ThreeValued:
+    """SQL ``a = b``: unknown against a null, except that under marked
+    nulls the same null certainly equals itself."""
     if is_null(a) or is_null(b):
-        if marked and is_null(a) and is_null(b) and a == b:
-            # The same marked null certainly equals itself.
-            if op == "=":
-                return TRUE
-            if op == "<>":
-                return FALSE
-        return UNKNOWN
-    if op == "=":
-        return from_bool(a == b)
-    if op == "<>":
-        return from_bool(a != b)
-    if op == "like":
-        return from_bool(like_match(a, b))
-    if op == "not like":
-        return from_bool(not like_match(a, b))
-    if op == "<":
-        return from_bool(a < b)
-    if op == "<=":
-        return from_bool(a <= b)
-    if op == ">":
-        return from_bool(a > b)
-    if op == ">=":
-        return from_bool(a >= b)
-    raise EngineError(f"unknown comparison operator {op!r}")  # pragma: no cover
+        return TRUE if marked and a == b else UNKNOWN
+    return from_bool(a == b)
 
 
 class _Cmp(_Cond):
@@ -322,14 +272,6 @@ class _Cmp(_Cond):
         self.has_outer = left.has_outer or right.has_outer
         self.marked = marked
 
-    def eval(self, cursor, env) -> ThreeValued:
-        return _compare(
-            self.op,
-            self.left.eval(cursor, env),
-            self.right.eval(cursor, env),
-            self.marked,
-        )
-
 
 class _IsNull(_Cond):
     __slots__ = ("expr", "negated", "local_keys", "has_outer")
@@ -339,10 +281,6 @@ class _IsNull(_Cond):
         self.negated = negated
         self.local_keys = expr.local_keys
         self.has_outer = expr.has_outer
-
-    def eval(self, cursor, env) -> ThreeValued:
-        value = self.expr.eval(cursor, env)
-        return from_bool(is_null(value) != self.negated)
 
 
 class _Bool(_Cond):
@@ -357,25 +295,6 @@ class _Bool(_Cond):
         self.local_keys = keys
         self.has_outer = any(item.has_outer for item in items)
 
-    def eval(self, cursor, env) -> ThreeValued:
-        if self.op == "and":
-            result = TRUE
-            for item in self.items:
-                value = item.eval(cursor, env)
-                if value is FALSE:
-                    return FALSE
-                if value is UNKNOWN:
-                    result = UNKNOWN
-            return result
-        result = FALSE
-        for item in self.items:
-            value = item.eval(cursor, env)
-            if value is TRUE:
-                return TRUE
-            if value is UNKNOWN:
-                result = UNKNOWN
-        return result
-
 
 class _Not(_Cond):
     __slots__ = ("item", "local_keys", "has_outer")
@@ -385,18 +304,12 @@ class _Not(_Cond):
         self.local_keys = item.local_keys
         self.has_outer = item.has_outer
 
-    def eval(self, cursor, env) -> ThreeValued:
-        return ~self.item.eval(cursor, env)
-
 
 class _BoolConst(_Cond):
     __slots__ = ("value",)
 
     def __init__(self, value: bool):
         self.value = TRUE if value else FALSE
-
-    def eval(self, cursor, env) -> ThreeValued:
-        return self.value
 
 
 _MISSING = object()
@@ -439,23 +352,35 @@ class _Exists(_Cond):
         block.ctx._probe_preds.append(self)
 
     def eval(self, cursor, env) -> ThreeValued:
-        if not self.block.external:
+        block = self.block
+        if not block.external:
             if self._cache is None:
                 self._cache = self._probe({})
             return self._cache
-        ctx = self.block.ctx
+        ctx = block.ctx
         slotmap, row = cursor
         if self.decor is not None:
             if self._table is None:
                 self._build_table()
-            if self._table is not None:
-                probe = tuple(row[slotmap[key]] for _local, key in self.decor)
+            table = self._table
+            if table is not None:
                 ctx.decorrelated_probes += 1
-                if not ctx.marked_nulls and any(is_null(v) for v in probe):
-                    found = False  # a null key never compares TRUE
+                decor = self.decor
+                if len(decor) == 1:
+                    value = row[slotmap[decor[0][1]]]
+                    if not ctx.marked_nulls and isinstance(value, Null):
+                        found = False  # a null key never compares TRUE
+                    else:
+                        found = (value,) in table
                 else:
-                    found = probe in self._table
-                return from_bool(found != self.negated)
+                    probe = tuple(row[slotmap[key]] for _local, key in decor)
+                    if not ctx.marked_nulls and any(
+                        isinstance(v, Null) for v in probe
+                    ):
+                        found = False
+                    else:
+                        found = probe in table
+                return TRUE if found != self.negated else FALSE
         env2 = dict(env)
         for key in self.needed:
             env2[key] = row[slotmap[key]]
@@ -473,43 +398,6 @@ class _Exists(_Cond):
         result = self._probe(env2)
         self._memo[memo_key] = result
         return result
-
-    def fast_eval(self, cursor, env) -> ThreeValued:
-        """Compiled entry point: the decorrelated hash probe without the
-        per-call tuple/genexpr allocations of :meth:`eval`.  Every other
-        path (uncorrelated cache, memoized probing) delegates back to
-        the interpreted logic — results and counters are identical by
-        construction."""
-        block = self.block
-        if not block.external:
-            if self._cache is None:
-                self._cache = self._probe({})
-            return self._cache
-        if self.decor is not None:
-            if self._table is None:
-                self._build_table()
-            table = self._table
-            if table is not None:
-                ctx = block.ctx
-                slotmap, row = cursor
-                ctx.decorrelated_probes += 1
-                decor = self.decor
-                if len(decor) == 1:
-                    value = row[slotmap[decor[0][1]]]
-                    if not ctx.marked_nulls and isinstance(value, Null):
-                        found = False
-                    else:
-                        found = (value,) in table
-                else:
-                    probe = tuple(row[slotmap[key]] for _local, key in decor)
-                    if not ctx.marked_nulls and any(
-                        isinstance(v, Null) for v in probe
-                    ):
-                        found = False
-                    else:
-                        found = probe in table
-                return TRUE if found != self.negated else FALSE
-        return self.eval(cursor, env)
 
     def _build_table(self) -> None:
         """One-pass hash semi-join build: inner keys that have witnesses."""
@@ -578,8 +466,8 @@ class _InValues(_Cond):
     time: hashable non-null constants go into a set probed in O(1) per
     row (under marked nulls, null constants join the set too — they hash
     by label); everything else (non-constant expressions, unhashable
-    constants) stays a residual compared per evaluation.  The truth
-    table matches the linear :func:`_membership` scan exactly."""
+    constants) stays a residual closure compared per evaluation.  The
+    truth table matches the linear :func:`_membership` scan exactly."""
 
     __slots__ = (
         "expr", "values", "negated", "local_keys", "has_outer", "marked",
@@ -619,14 +507,10 @@ class _InValues(_Cond):
                     residual.append(_Const(item))
         self._const_set = const_set
         self._has_null_const = has_null_const
-        self._residual = tuple(residual)
+        self._residual = tuple(compile_expr(v) for v in residual)
 
-    def eval(self, cursor, env) -> ThreeValued:
-        x = self.expr.eval(cursor, env)
-        result = self._membership_fast(x, cursor, env)
-        return ~result if self.negated else result
-
-    def _membership_fast(self, x, cursor, env) -> ThreeValued:
+    def membership(self, x, cursor, env) -> ThreeValued:
+        """Truth value of ``x IN (…)`` (before any ``NOT``)."""
         const_set = self._const_set
         if const_set:
             try:
@@ -634,16 +518,16 @@ class _InValues(_Cond):
                     return TRUE
             except TypeError:  # unhashable probe value: linear fallback
                 for value in const_set:
-                    if _compare("=", x, value, self.marked) is TRUE:
+                    if _equals(x, value, self.marked) is TRUE:
                         return TRUE
         saw_unknown = self._has_null_const
         if not saw_unknown and const_set and is_null(x):
             saw_unknown = True  # null vs. any non-null candidate
-        for value_expr in self._residual:
-            value = value_expr.eval(cursor, env)
+        for value_fn in self._residual:
+            value = value_fn(cursor, env)
             candidates = value if isinstance(value, (list, tuple)) else (value,)
             for item in candidates:
-                cmp = _compare("=", x, item, self.marked)
+                cmp = _equals(x, item, self.marked)
                 if cmp is TRUE:
                     return TRUE
                 if cmp is UNKNOWN:
@@ -657,7 +541,7 @@ class _InSubquery(_Cond):
     memoized value lists otherwise."""
 
     __slots__ = (
-        "expr", "block", "out", "negated", "needed", "local_keys", "has_outer",
+        "expr_fn", "block", "out_fn", "negated", "needed", "local_keys", "has_outer",
         "marked", "_cache", "decor", "_table", "_memo", "_memo_keys",
         "_decor0", "_saved_probes",
     )
@@ -670,9 +554,9 @@ class _InSubquery(_Cond):
         negated: bool,
         parent_scope: CompileScope,
     ):
-        self.expr = expr
+        self.expr_fn = compile_expr(expr)
         self.block = block
-        self.out = out
+        self.out_fn = compile_expr(out)
         self.negated = negated
         self.needed = tuple(
             res.key for res in block.external if res.scope is parent_scope
@@ -694,10 +578,11 @@ class _InSubquery(_Cond):
         block.ctx._probe_preds.append(self)
 
     def _values(self, env) -> List[object]:
-        return [self.out.eval(cursor, env) for cursor in self.block.iterate(env)]
+        out_fn = self.out_fn
+        return [out_fn(cursor, env) for cursor in self.block.iterate(env)]
 
     def eval(self, cursor, env) -> ThreeValued:
-        x = self.expr.eval(cursor, env)
+        x = self.expr_fn(cursor, env)
         if not self.block.external:
             if self._cache is None:
                 self._cache = self._values({})
@@ -755,6 +640,7 @@ class _InSubquery(_Cond):
         meter = TableBytesMeter()
         before = ctx.rows_examined
         table: Dict[Tuple, List[object]] = {}
+        out_fn = self.out_fn
         for sub_cursor in block.iterate({}):
             if cap is not None and ctx.rows_examined - before > cap:
                 _degrade(self, block, saved_probes, before)
@@ -774,7 +660,7 @@ class _InSubquery(_Cond):
                 ):
                     _degrade(self, block, saved_probes, before)
                     return
-            bucket.append(self.out.eval(sub_cursor, {}))
+            bucket.append(out_fn(sub_cursor, {}))
         ctx.probe_build_rows += ctx.rows_examined - before
         ctx.rows_examined = before
         ctx.probe_tables_built += 1
@@ -825,7 +711,7 @@ def _membership(x, values, marked: bool = False) -> ThreeValued:
     """SQL semantics of ``x IN (values)``."""
     saw_unknown = False
     for value in values:
-        cmp = _compare("=", x, value, marked)
+        cmp = _equals(x, value, marked)
         if cmp is TRUE:
             return TRUE
         if cmp is UNKNOWN:
@@ -879,12 +765,7 @@ class CompiledBlock:
         # or filtering work — a FALSE short-circuits the whole block
         # without touching base tables (Q+2's win).
         self._pre: List[_Cond] = [c for c in self.residuals if not c.local_keys]
-        if ctx.compile_predicates:
-            from repro.engine.compile import compile_cond
-
-            self._pre_fns = [compile_cond(c) for c in self._pre]
-        else:
-            self._pre_fns = [c.eval for c in self._pre]
+        self._pre_fns = [compile_cond(c) for c in self._pre]
 
         # Runtime state, built lazily on first iteration.
         self._filtered: Optional[Dict[str, List[Row]]] = None
@@ -1086,32 +967,21 @@ class CompiledBlock:
         rows = relation.rows
         if not source.filters:
             return rows
-        if ctx.compile_predicates:
-            # Columnar: each pushed conjunct is one batch pass over the
-            # surviving row ids, so later conjuncts only touch rows the
-            # earlier ones kept.  Filter scans stay outside the row
-            # counters (same convention as the interpreted path).
-            ids: Sequence[int] = range(len(rows))
-            for batch_pass in self._batch_passes(source):
-                ctx.check()
-                ids = batch_pass(rows, ids)
-                if not ids:
-                    break
-            return [rows[i] for i in ids]
-        slotmap = {(source.binding, col): i for i, col in enumerate(source.columns)}
-        kept = []
-        for row in rows:
+        # Columnar: each pushed conjunct is one batch pass over the
+        # surviving row ids, so later conjuncts only touch rows the
+        # earlier ones kept.  Filter scans stay outside the row counters
+        # (like hash-index builds).
+        ids: Sequence[int] = range(len(rows))
+        for batch_pass in self._batch_passes(source):
             ctx.check()
-            cursor = (slotmap, row)
-            if all(f.eval(cursor, {}) is TRUE for f in source.filters):
-                kept.append(row)
-        return kept
+            ids = batch_pass(rows, ids)
+            if not ids:
+                break
+        return [rows[i] for i in ids]
 
     def _batch_passes(self, source: _Source) -> List[object]:
         passes = self._passes.get(source.binding)
         if passes is None:
-            from repro.engine.compile import build_batch_passes
-
             passes = build_batch_passes(source, source.filters)
             self._passes[source.binding] = passes
         return passes
@@ -1173,7 +1043,7 @@ class CompiledBlock:
             keys: List[Tuple[str, object]] = []
             for key, expr in self.probes:
                 if key[0] == binding:
-                    keys.append((key[1], ("env", expr)))
+                    keys.append((key[1], ("env", compile_expr(expr))))
             for a, b in self.equi:
                 if a[0] == binding and b[0] in bound:
                     keys.append((a[1], ("row", b)))
@@ -1201,17 +1071,10 @@ class CompiledBlock:
                     break
             else:  # pragma: no cover - resolution guarantees coverage
                 raise EngineError("residual references unbound tables")
-        if self.ctx.compile_predicates:
-            from repro.engine.compile import compile_cond
-
-            self._attached_fns = []
-            for conds in self._attached:
-                nonnull = self._proven_nonnull(conds)
-                self._attached_fns.append(
-                    [compile_cond(c, nonnull) for c in conds]
-                )
-        else:
-            self._attached_fns = [[c.eval for c in conds] for conds in self._attached]
+        self._attached_fns = []
+        for conds in self._attached:
+            nonnull = self._proven_nonnull(conds)
+            self._attached_fns.append([compile_cond(c, nonnull) for c in conds])
 
     def _proven_nonnull(self, conds: Sequence[_Cond]) -> frozenset:
         """Data-driven non-null proofs for the closure compiler: a local
@@ -1321,7 +1184,7 @@ class CompiledBlock:
                 for _col, src in keys:
                     kind, payload = src
                     if kind == "env":
-                        probe.append(payload.eval((slotmap, partial), env))
+                        probe.append(payload((slotmap, partial), env))
                     else:
                         probe.append(partial[slotmap[payload]])
                 if not ctx.marked_nulls and any(is_null(v) for v in probe):
@@ -1388,29 +1251,21 @@ class CompiledBlock:
     def _stream_filtered(self, source: _Source) -> Iterator[Row]:
         ctx = self.ctx
         rows = ctx.relation(source.table).rows
-        if ctx.compile_predicates:
-            # Chunked columnar filtering: batch passes over a window of
-            # row ids at a time, preserving first-match short-circuits.
-            passes = self._batch_passes(source)
-            total = len(rows)
-            start = 0
-            while start < total:
-                ctx.check()
-                ids: Sequence[int] = range(start, min(start + _FILTER_CHUNK, total))
-                for batch_pass in passes:
-                    ids = batch_pass(rows, ids)
-                    if not ids:
-                        break
-                for i in ids:
-                    yield rows[i]
-                start += _FILTER_CHUNK
-            return
-        slotmap = {(source.binding, col): i for i, col in enumerate(source.columns)}
-        for row in rows:
+        # Chunked columnar filtering: batch passes over a window of row
+        # ids at a time, preserving first-match short-circuits.
+        passes = self._batch_passes(source)
+        total = len(rows)
+        start = 0
+        while start < total:
             ctx.check()
-            cursor = (slotmap, row)
-            if all(f.eval(cursor, {}) is TRUE for f in source.filters):
-                yield row
+            ids: Sequence[int] = range(start, min(start + _FILTER_CHUNK, total))
+            for batch_pass in passes:
+                ids = batch_pass(rows, ids)
+                if not ids:
+                    break
+            for i in ids:
+                yield rows[i]
+            start += _FILTER_CHUNK
 
 
 def _pure_probe_plan(

@@ -1,8 +1,9 @@
-"""Closure compilation: lowering evaluator trees to specialized closures.
+"""Closure compilation: the engine's single predicate/expression evaluator.
 
-The interpreted engine walks ``_Cond``/``_Expr`` object trees with a
-virtual ``eval(cursor, env)`` call per node per row.  This module
-lowers those trees, at prepare time, into plain Python closures:
+``CompiledBlock`` classifies a statement into ``_Cond``/``_Expr`` node
+trees that carry only structure (operands, resolved columns, local
+keys).  This module gives them their semantics, at prepare time, by
+lowering each tree into plain Python closures:
 
 * **operator specialization** — each comparison operator gets its own
   closure body, ``LIKE`` patterns against constants are compiled to a
@@ -18,48 +19,48 @@ lowers those trees, at prepare time, into plain Python closures:
   batch passes over row-id lists (one tight comprehension per
   conjunct) instead of per-row tree walks.
 
-Stateful predicates (subqueries) keep their interpreted entry points —
-their cost is amortised by decorrelation/memoization, not dispatch —
-except that ``EXISTS`` gains a slot-specialized hash-probe fast path
-(``_Exists.fast_eval``).
+Stateful predicates (``[NOT] EXISTS``, ``IN (SELECT …)``, scalar
+subqueries) keep one ``eval`` entry point each — their cost is
+amortised by decorrelation/memoization, not dispatch — and their
+children are closures built here.
 
-The interpreted path remains fully supported: set the
-``REPRO_NO_COMPILE`` environment variable (or pass
-``compile_predicates=False`` to the executor) to fall back, which is
-also how the differential tests and the ``BENCH_compile`` benchmark
-obtain their baseline.
+Comparing values Python cannot order (``1 < 'x'``) or using a
+non-string ``LIKE`` pattern raises :class:`EngineError`.  There is no
+second evaluator to fall back to: the engine's 3VL is checked against
+stdlib ``sqlite3`` (``tests/engine/test_vs_sqlite.py``) and against
+:func:`repro.algebra.evaluate` (``tests/engine/test_vs_algebra_property.py``).
 """
 
 from __future__ import annotations
 
-import os
+import operator
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.algebra.conditions import _like_regex, like_match
+from repro.algebra.conditions import _like_regex
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN
 from repro.data.nulls import Null
 from repro.engine import blocks as B
+from repro.engine.scope import EngineError
 
-__all__ = [
-    "NO_COMPILE_ENV",
-    "compile_enabled",
-    "compile_expr",
-    "compile_cond",
-    "build_batch_passes",
-]
-
-#: Environment escape hatch: any non-empty value disables compilation.
-NO_COMPILE_ENV = "REPRO_NO_COMPILE"
+__all__ = ["compile_expr", "compile_cond", "build_batch_passes"]
 
 Key = Tuple[str, str]
 NonNull = FrozenSet[Key]
 _EMPTY_NONNULL: NonNull = frozenset()
 _EMPTY_ENV: dict = {}
+_EMPTY_CURSOR: tuple = ({}, ())
+
+_ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def compile_enabled() -> bool:
-    """Default compilation mode (read once per ``ExecContext``)."""
-    return not os.environ.get(NO_COMPILE_ENV)
+def _incomparable(exc: TypeError) -> EngineError:
+    return EngineError(f"incomparable operands: {exc}")
+
+
+def _like_pattern(pattern):
+    if not isinstance(pattern, str):
+        raise EngineError(f"LIKE pattern must be a string, not {pattern!r}")
+    return _like_regex(pattern)
 
 
 def _proved_nonnull(expr: "B._Expr", nonnull: NonNull) -> bool:
@@ -110,7 +111,7 @@ def compile_expr(expr: "B._Expr", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
             return "".join(pieces)
 
         return concat
-    # _ScalarSubquery and anything else stateful keeps its own eval.
+    # _ScalarSubquery: stateful (computed once, cached).
     return expr.eval
 
 
@@ -128,21 +129,24 @@ def _const_result(value) -> Callable:
 
 def _compile_cmp(cond: "B._Cmp", nonnull: NonNull) -> Callable:
     op = cond.op
-    if isinstance(cond.left, B._Const) and isinstance(cond.right, B._Const):
-        return _const_result(
-            B._compare(op, cond.left.value, cond.right.value, cond.marked)
-        )
     left = compile_expr(cond.left, nonnull)
     right = compile_expr(cond.right, nonnull)
-    if cond.marked:
-        # Marked-null equality is label-sensitive; keep the shared
-        # comparison kernel and only strip the dispatch layer.
-        compare = B._compare
+    if cond.marked and op in ("=", "<>"):
+        # Marked-null equality is label-sensitive; every other operator
+        # is unknown on any null, exactly as in standard 3VL.
+        equals = B._equals
 
-        def marked_cmp(cursor, env):
-            return compare(op, left(cursor, env), right(cursor, env), True)
+        if op == "=":
 
-        return marked_cmp
+            def marked_eq(cursor, env):
+                return equals(left(cursor, env), right(cursor, env), True)
+
+            return marked_eq
+
+        def marked_ne(cursor, env):
+            return ~equals(left(cursor, env), right(cursor, env), True)
+
+        return marked_ne
     hoist = _proved_nonnull(cond.left, nonnull) and _proved_nonnull(
         cond.right, nonnull
     )
@@ -181,7 +185,7 @@ def _compile_cmp(cond: "B._Cmp", nonnull: NonNull) -> Callable:
     if op in ("like", "not like"):
         want = op == "like"
         if isinstance(cond.right, B._Const) and not isinstance(cond.right.value, Null):
-            regex = _like_regex(cond.right.value)
+            regex = _like_pattern(cond.right.value)
 
             def like_const(cursor, env):
                 a = left(cursor, env)
@@ -197,22 +201,19 @@ def _compile_cmp(cond: "B._Cmp", nonnull: NonNull) -> Callable:
             b = right(cursor, env)
             if isinstance(a, Null) or isinstance(b, Null):
                 return UNKNOWN
-            return TRUE if like_match(a, b) == want else FALSE
+            hit = _like_pattern(b).match(str(a)) is not None
+            return TRUE if hit == want else FALSE
 
         return like_dyn
 
-    import operator as _operator
-
-    cmp_fn = {
-        "<": _operator.lt,
-        "<=": _operator.le,
-        ">": _operator.gt,
-        ">=": _operator.ge,
-    }[op]
+    cmp_fn = _ORDERING[op]
     if hoist:
 
         def ord_nn(cursor, env):
-            return TRUE if cmp_fn(left(cursor, env), right(cursor, env)) else FALSE
+            try:
+                return TRUE if cmp_fn(left(cursor, env), right(cursor, env)) else FALSE
+            except TypeError as exc:
+                raise _incomparable(exc) from None
 
         return ord_nn
 
@@ -221,7 +222,10 @@ def _compile_cmp(cond: "B._Cmp", nonnull: NonNull) -> Callable:
         b = right(cursor, env)
         if isinstance(a, Null) or isinstance(b, Null):
             return UNKNOWN
-        return TRUE if cmp_fn(a, b) else FALSE
+        try:
+            return TRUE if cmp_fn(a, b) else FALSE
+        except TypeError as exc:
+            raise _incomparable(exc) from None
 
     return ord_
 
@@ -277,7 +281,10 @@ def compile_cond(cond: "B._Cond", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
     if isinstance(cond, B._BoolConst):
         return _const_result(cond.value)
     if isinstance(cond, B._Cmp):
-        return _compile_cmp(cond, nonnull)
+        fn = _compile_cmp(cond, nonnull)
+        if isinstance(cond.left, B._Const) and isinstance(cond.right, B._Const):
+            return _const_result(fn(_EMPTY_CURSOR, _EMPTY_ENV))
+        return fn
     if isinstance(cond, B._IsNull):
         expr_fn = compile_expr(cond.expr, nonnull)
         if _proved_nonnull(cond.expr, nonnull):
@@ -309,7 +316,7 @@ def compile_cond(cond: "B._Cond", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
         return negate
     if isinstance(cond, B._InValues):
         expr_fn = compile_expr(cond.expr, nonnull)
-        membership = cond._membership_fast
+        membership = cond.membership
         if cond.negated:
 
             def notin(cursor, env):
@@ -326,9 +333,7 @@ def compile_cond(cond: "B._Cond", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
             return membership(expr_fn(cursor, env), cursor, env)
 
         return in_
-    if isinstance(cond, B._Exists):
-        return cond.fast_eval
-    # _InSubquery and anything unknown: interpreted entry point.
+    # _Exists, _InSubquery: stateful, one entry point each.
     return cond.eval
 
 
@@ -378,20 +383,13 @@ def _unary_pred(cond: "B._Cond", source: "B._Source") -> Optional[Tuple[int, Cal
         if op == "<>":
             return position, lambda v: not isinstance(v, Null) and v != c
         if op == "like" or op == "not like":
-            regex = _like_regex(c)
+            regex = _like_pattern(c)
             want = op == "like"
             return position, (
                 lambda v: not isinstance(v, Null)
                 and (regex.match(str(v)) is not None) == want
             )
-        import operator as _operator
-
-        cmp_fn = {
-            "<": _operator.lt,
-            "<=": _operator.le,
-            ">": _operator.gt,
-            ">=": _operator.ge,
-        }[op]
+        cmp_fn = _ORDERING[op]
         return position, lambda v: not isinstance(v, Null) and cmp_fn(v, c)
     if isinstance(cond, B._InValues) and not cond._residual:
         expr = cond.expr
@@ -441,16 +439,7 @@ def _binary_pred(
         return None
     if cond.marked and op in ("=", "<>"):
         return None
-    import operator as _operator
-
-    cmp_fn = {
-        "=": _operator.eq,
-        "<>": _operator.ne,
-        "<": _operator.lt,
-        "<=": _operator.le,
-        ">": _operator.gt,
-        ">=": _operator.ge,
-    }[op]
+    cmp_fn = {"=": operator.eq, "<>": operator.ne, **_ORDERING}[op]
     p1 = source.columns.index(left.key[1])
     p2 = source.columns.index(right.key[1])
     return p1, p2, cmp_fn
@@ -474,7 +463,10 @@ def build_batch_passes(
             position, keep = unary
 
             def unary_pass(rows, ids, _p=position, _keep=keep):
-                return [i for i in ids if _keep(rows[i][_p])]
+                try:
+                    return [i for i in ids if _keep(rows[i][_p])]
+                except TypeError as exc:
+                    raise _incomparable(exc) from None
 
             passes.append(unary_pass)
             continue
@@ -483,13 +475,16 @@ def build_batch_passes(
             p1, p2, cmp_fn = binary
 
             def binary_pass(rows, ids, _p1=p1, _p2=p2, _cmp=cmp_fn):
-                return [
-                    i
-                    for i in ids
-                    if not isinstance((a := rows[i][_p1]), Null)
-                    and not isinstance((b := rows[i][_p2]), Null)
-                    and _cmp(a, b)
-                ]
+                try:
+                    return [
+                        i
+                        for i in ids
+                        if not isinstance((a := rows[i][_p1]), Null)
+                        and not isinstance((b := rows[i][_p2]), Null)
+                        and _cmp(a, b)
+                    ]
+                except TypeError as exc:
+                    raise _incomparable(exc) from None
 
             passes.append(binary_pass)
             continue
@@ -499,11 +494,14 @@ def build_batch_passes(
                 (p1, k1), (p2, k2) = unaries  # type: ignore[misc]
 
                 def or_pass(rows, ids, _p1=p1, _k1=k1, _p2=p2, _k2=k2):
-                    return [
-                        i
-                        for i in ids
-                        if _k1(rows[i][_p1]) or _k2(rows[i][_p2])
-                    ]
+                    try:
+                        return [
+                            i
+                            for i in ids
+                            if _k1(rows[i][_p1]) or _k2(rows[i][_p2])
+                        ]
+                    except TypeError as exc:
+                        raise _incomparable(exc) from None
 
                 passes.append(or_pass)
                 continue

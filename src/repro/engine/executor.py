@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union as TUnion
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine.blocks import CompiledBlock, ExecContext
+from repro.engine.compile import compile_expr
 from repro.engine.limits import ResourceLimits
 from repro.engine.scope import EngineError
 from repro.sql import ast
@@ -90,7 +91,9 @@ class Executor:
     ``rows_examined`` / probe-cache counters on :attr:`ctx` report how
     much work evaluation did (used by tests and the ablation
     benchmarks).  :meth:`prepare` compiles without executing and returns
-    a re-runnable :class:`PreparedQuery`.
+    a re-runnable :class:`PreparedQuery`; compiling lowers every
+    predicate and expression to the closures of
+    :mod:`repro.engine.compile`, the engine's only evaluator.
     """
 
     def __init__(
@@ -101,7 +104,6 @@ class Executor:
         memoize_probes: bool = True,
         decorrelate: bool = True,
         limits: Optional[ResourceLimits] = None,
-        compile_predicates: Optional[bool] = None,
     ):
         self.ctx = ExecContext(
             db,
@@ -110,7 +112,6 @@ class Executor:
             memoize_probes=memoize_probes,
             decorrelate=decorrelate,
             limits=limits,
-            compile_predicates=compile_predicates,
         )
         #: top-level blocks compiled by this executor (explain support)
         self.blocks: List[CompiledBlock] = []
@@ -224,7 +225,7 @@ class Executor:
                 name = col.expr.func
             else:
                 name = f"column{len(outputs) + 1}"
-            outputs.append((name, _expr_getter(expr, self.ctx.compile_predicates)))
+            outputs.append((name, _expr_getter(expr)))
         return self._dedupe_names(outputs, block)
 
     @staticmethod
@@ -249,19 +250,11 @@ def _slot_getter(key):
     return getter
 
 
-def _expr_getter(expr, compiled: bool = False):
-    if compiled:
-        from repro.engine.compile import compile_expr
-
-        fn = compile_expr(expr)
-
-        def compiled_getter(cursor):
-            return fn(cursor, _EMPTY_ENV)
-
-        return compiled_getter
+def _expr_getter(expr):
+    fn = compile_expr(expr)
 
     def getter(cursor):
-        return expr.eval(cursor, {})
+        return fn(cursor, _EMPTY_ENV)
 
     return getter
 
@@ -341,7 +334,6 @@ def execute_query(
     memoize_probes: bool = True,
     decorrelate: bool = True,
     limits: Optional[ResourceLimits] = None,
-    compile_predicates: Optional[bool] = None,
 ) -> Relation:
     """Execute a parsed query; returns a :class:`Relation`.
 
@@ -353,10 +345,9 @@ def execute_query(
     ``limits`` attaches a deadline/row budget to the run (see
     :mod:`repro.engine.limits`); exceeding a hard cap raises
     :class:`~repro.engine.limits.ResourceError`.
-    ``compile_predicates=False`` (or the ``REPRO_NO_COMPILE`` env var)
-    evaluates predicates through the interpreted ``eval`` tree walk
-    instead of the compiled closures — same results and work counters,
-    used as the differential-testing and benchmarking baseline.
+    Predicates and expressions run as the closures of
+    :mod:`repro.engine.compile`; comparing incomparable values raises
+    :class:`~repro.engine.scope.EngineError`.
     """
     return Executor(
         db,
@@ -365,7 +356,6 @@ def execute_query(
         memoize_probes=memoize_probes,
         decorrelate=decorrelate,
         limits=limits,
-        compile_predicates=compile_predicates,
     ).execute(ast.query_of(query))
 
 
@@ -377,9 +367,11 @@ def execute_sql(
     memoize_probes: bool = True,
     decorrelate: bool = True,
     limits: Optional[ResourceLimits] = None,
-    compile_predicates: Optional[bool] = None,
 ) -> Relation:
-    """Parse (if necessary, through the plan cache) and execute SQL."""
+    """Parse (if necessary, through the plan cache) and execute SQL.
+
+    Keyword arguments are those of :func:`execute_query`.
+    """
     if isinstance(sql, str):
         sql = PLAN_CACHE.get_or_parse(sql, marked_nulls)
     return execute_query(
@@ -390,5 +382,4 @@ def execute_sql(
         memoize_probes=memoize_probes,
         decorrelate=decorrelate,
         limits=limits,
-        compile_predicates=compile_predicates,
     )

@@ -116,6 +116,7 @@ class TestLike:
             ("a.c", "a.c", True),
             ("abc", "a.c", False),  # dot is literal, not regex
             ("", "%", True),
+            ("abc\n", "abc", False),  # no match before a trailing newline
         ],
     )
     def test_like(self, value, pattern, expected):

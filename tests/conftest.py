@@ -70,25 +70,3 @@ def schema():
 @pytest.fixture
 def rng():
     return random.Random(123)
-
-
-def make_random_db(rng, null_rate=0.3, max_rows=3, values=(1, 2, 3)):
-    """Random R(A,B), S(C,D) incomplete database for property tests."""
-
-    def cell():
-        if rng.random() < null_rate:
-            return Null()
-        return rng.choice(values)
-
-    def rows(width):
-        return [
-            tuple(cell() for _ in range(width))
-            for _ in range(rng.randint(1, max_rows))
-        ]
-
-    return Database(
-        {
-            "R": Relation(("A", "B"), rows(2)),
-            "S": Relation(("C", "D"), rows(2)),
-        }
-    )

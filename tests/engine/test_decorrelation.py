@@ -19,6 +19,7 @@ import pytest
 from repro.data import Database, Null, Relation
 from repro.engine import Executor, execute_sql
 from repro.sql.parser import parse_sql
+from repro.testing import gen
 
 
 def naive(db, sql, params=None, marked_nulls=False):
@@ -205,28 +206,18 @@ class TestRandomisedEquivalence:
     """Optimised evaluation is byte-identical to naive on random
     incomplete databases, in both null semantics."""
 
-    def random_db(self, rng):
-        def cell():
-            if rng.random() < 0.25:
-                return Null(rng.choice([100, 101, 102]))  # repeatable marks
-            return rng.choice([1, 2, 3])
-
-        def rows(width, count):
-            return [tuple(cell() for _ in range(width)) for _ in range(count)]
-
-        return Database(
-            {
-                "r": Relation(("a", "b"), rows(2, rng.randint(1, 6))),
-                "s": Relation(("a", "b"), rows(2, rng.randint(1, 6))),
-                "t": Relation(("a",), rows(1, rng.randint(1, 4))),
-            }
-        )
-
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("marked", [False, True])
     def test_corpus(self, seed, marked):
         rng = random.Random(seed)
-        db = self.random_db(rng)
+        db = gen.random_db(
+            rng,
+            {"r": ("a", "b"), "s": ("a", "b"), "t": ("a",)},
+            values=(1, 2, 3),
+            null_rate=0.25,
+            rows={"r": (1, 6), "s": (1, 6), "t": (1, 4)},
+            null_labels=(100, 101, 102),  # repeatable marks
+        )
         for sql in EQUIVALENCE_CORPUS:
             expected = naive(db, sql, marked_nulls=marked)
             actual = optimised(db, sql, marked_nulls=marked)

@@ -7,7 +7,7 @@ they mean today.
 
 import pytest
 
-from repro.data import Database, Relation
+from repro.data import Database, Null, Relation
 from repro.engine import Executor, execute_sql
 from repro.engine.scope import EngineError
 from repro.sql import ast
@@ -85,3 +85,39 @@ class TestWithViews:
         sql = "WITH v AS (SELECT a FROM t), v AS (SELECT b FROM t) SELECT a FROM v"
         with pytest.raises(EngineError, match="duplicate WITH view 'v'"):
             execute_sql(db, sql)
+
+
+class TestTypeMismatch:
+    """Ordering incomparable values, or a non-string LIKE pattern, is an
+    EngineError on every evaluation path, never a raw TypeError."""
+
+    @pytest.fixture
+    def mixed_db(self):
+        # t.a holds a null, so comparisons on it keep their null check;
+        # t.b has none, so those on it are hoisted.
+        return Database(
+            {
+                "t": Relation(("a", "b"), [(Null(), 2), (3, 4)]),
+                "u": Relation(("s",), [("x",)]),
+            }
+        )
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("SELECT a FROM t WHERE a < 'x'", "incomparable operands"),
+            (
+                "SELECT a FROM t WHERE a IN (SELECT b FROM t WHERE b < 'x')",
+                "incomparable operands",
+            ),
+            ("SELECT a FROM t WHERE a LIKE 1", "LIKE pattern must be a string"),
+            ("SELECT t.a FROM t, u WHERE t.a < u.s", "incomparable operands"),
+            ("SELECT t.a FROM t, u WHERE t.b < u.s", "incomparable operands"),
+            ("SELECT t.a FROM t, u WHERE a < 'x' OR s = 'y'", "incomparable operands"),
+            ("SELECT t.a FROM t, u WHERE u.s LIKE t.a", "LIKE pattern must be a string"),
+        ],
+    )
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_raises_engine_error(self, mixed_db, sql, message, marked):
+        with pytest.raises(EngineError, match=message):
+            execute_sql(mixed_db, sql, marked_nulls=marked)

@@ -5,64 +5,36 @@ EXISTS/NOT EXISTS fragment, the engine's answers must coincide with the
 reference evaluator's 3VL semantics of the translated algebra.  (NOT IN
 is excluded: algebra antijoins model ``¬∃ TRUE-match``, which is the
 EXISTS semantics, while SQL's NOT IN is stricter on unknowns — the
-engine implements both faithfully, see tests/engine/test_subqueries.)
+engine implements both faithfully, see tests/engine/test_subqueries
+and the sqlite3 oracle in tests/engine/test_vs_sqlite.)
 """
 
+import functools
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra import evaluate
-from repro.data import Database, Null, Relation
 from repro.engine import execute_sql
 from repro.sql.parser import parse_sql
 from repro.sql.to_algebra import sql_to_algebra
+from repro.testing import gen
 
-TEMPLATES = [
-    "SELECT a FROM r WHERE a = {c}",
-    "SELECT a, b FROM r WHERE a <> {c} AND b >= {c}",
-    "SELECT a FROM r WHERE a IS NULL OR b = {c}",
-    "SELECT r.a FROM r, s WHERE r.a = s.c",
-    "SELECT r.a FROM r, s WHERE r.b = s.d AND s.c > {c}",
-    "SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a)",
-    "SELECT a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE s.c = r.a)",
-    "SELECT a FROM r WHERE NOT EXISTS "
-    "(SELECT * FROM s WHERE s.c = r.a AND s.d <> {c})",
-    "SELECT a FROM r WHERE EXISTS "
-    "(SELECT * FROM s WHERE s.c = r.a AND (s.d = {c} OR s.d IS NULL))",
-    "SELECT a FROM r WHERE a IN (SELECT c FROM s)",
-    "SELECT a FROM r WHERE a IN (SELECT c FROM s WHERE d = r.b)",
-    "SELECT a FROM r WHERE a IN ({c}, {d})",
-    "SELECT a FROM r EXCEPT SELECT c FROM s",
-    "SELECT a FROM r UNION SELECT c FROM s",
-    "SELECT a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE s.c = r.a) "
-    "AND NOT EXISTS (SELECT * FROM s WHERE s.d IS NULL)",
-]
+random_db = functools.partial(
+    gen.random_db,
+    tables={"r": ("a", "b"), "s": ("c", "d")},
+    values=(1, 2, 3),
+    null_rate=0.25,
+    rows=(1, 5),
+)
 
 
-def random_db(rng: random.Random) -> Database:
-    def cell():
-        if rng.random() < 0.25:
-            return Null()
-        return rng.choice([1, 2, 3])
-
-    def rows(n):
-        return [(cell(), cell()) for _ in range(n)]
-
-    return Database(
-        {
-            "r": Relation(("a", "b"), rows(rng.randint(1, 5))),
-            "s": Relation(("c", "d"), rows(rng.randint(1, 5))),
-        }
-    )
-
-
-@pytest.mark.parametrize("template_index", range(len(TEMPLATES)))
+@pytest.mark.parametrize("template_index", range(len(gen.ALGEBRA_TEMPLATES)))
 @given(seed=st.integers(0, 10_000), c=st.integers(1, 3), d=st.integers(1, 3))
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_engine_matches_reference_semantics(template_index, seed, c, d):
-    sql = TEMPLATES[template_index].format(c=c, d=d)
+    sql = gen.ALGEBRA_TEMPLATES[template_index].format(c=c, d=d)
     rng = random.Random(seed)
     db = random_db(rng)
     query = parse_sql(sql)

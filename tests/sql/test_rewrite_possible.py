@@ -5,17 +5,19 @@ so its result must contain every answer produced in any possible world
 — checked by enumerating valuations on miniature instances.
 """
 
+import functools
 import random
 
 import pytest
 
-from repro.data import Database, Null, Relation
+from repro.data import Database, Relation
 from repro.data.schema import DatabaseSchema, make_schema
 from repro.data.valuation import enumerate_valuations
 from repro.engine import execute_sql
 from repro.sql.parser import parse_sql
 from repro.sql.printer import to_sql
 from repro.sql.rewrite import RewriteError, rewrite_certain, rewrite_possible
+from repro.testing import gen
 
 
 @pytest.fixture
@@ -26,18 +28,14 @@ def schema():
     return schema
 
 
-def random_db(rng):
-    def cell():
-        return Null() if rng.random() < 0.3 else rng.choice([1, 2])
-
-    r_rows = [(k, cell()) for k in range(1, rng.randint(2, 4))]
-    s_rows = [(cell(), cell()) for _ in range(rng.randint(1, 3))]
-    return Database(
-        {
-            "r": Relation(("a", "b"), r_rows),
-            "s": Relation(("a", "b"), s_rows),
-        }
-    )
+random_db = functools.partial(
+    gen.random_db,
+    tables={"r": ("a", "b"), "s": ("a", "b")},
+    values=(1, 2),
+    null_rate=0.3,
+    rows=(1, 3),
+    keyed=("r",),  # r.a is r's key
+)
 
 
 QUERIES = [

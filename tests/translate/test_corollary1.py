@@ -9,6 +9,7 @@ instances the paper points at:
   shortcut) keeps Q+ sound — and can only shrink Q+.
 """
 
+import functools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from repro.algebra import (
 from repro.algebra.conditions import And, Attr, NullTest
 from repro.certain import certain_answers_with_nulls
 from repro.data import Database, Null, Relation
+from repro.testing import gen
 from repro.translate.conditions import translate_certain, translate_possible
 from repro.translate.improved import certain_query
 
@@ -32,25 +34,16 @@ R, S = RelationRef("R"), RelationRef("S")
 S_AS_R = Rename(S, {"C": "A", "D": "B"})
 
 
-def random_db(rng, null_rate=0.35):
-    null_budget = 3  # bounds brute-force valuation enumeration
-
-    def cell():
-        nonlocal null_budget
-        if null_budget and rng.random() < null_rate:
-            null_budget -= 1
-            return Null()
-        return rng.choice([1, 2])
-
-    def rows(n):
-        return [(cell(), cell()) for _ in range(n)]
-
-    return Database(
-        {
-            "R": Relation(("A", "B"), rows(rng.randint(1, 3))),
-            "S": Relation(("C", "D"), rows(rng.randint(1, 3))),
-        }
-    )
+# At most three nulls: brute-force ground truth enumerates every
+# valuation of them.
+random_db = functools.partial(
+    gen.random_db,
+    tables=gen.RS,
+    values=(1, 2),
+    null_rate=0.35,
+    rows=(1, 3),
+    null_budget=3,
+)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -9,6 +9,7 @@
   returns a false positive.
 """
 
+import functools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from repro.algebra import (
 )
 from repro.certain import certain_answers_with_nulls
 from repro.data import Database, Null, Relation
+from repro.testing import gen
 
 R, S = RelationRef("R"), RelationRef("S")
 S_AS_R = Rename(S, {"C": "A", "D": "B"})
@@ -48,25 +50,16 @@ POSITIVE_QUERIES = {
 }
 
 
-def random_db(rng, null_rate=0.3):
-    null_budget = 3  # bounds brute-force valuation enumeration
-
-    def cell():
-        nonlocal null_budget
-        if null_budget and rng.random() < null_rate:
-            null_budget -= 1
-            return Null()
-        return rng.choice([1, 2, 3])
-
-    def rows(n):
-        return [(cell(), cell()) for _ in range(n)]
-
-    return Database(
-        {
-            "R": Relation(("A", "B"), rows(rng.randint(1, 3))),
-            "S": Relation(("C", "D"), rows(rng.randint(1, 3))),
-        }
-    )
+# At most three nulls: brute-force ground truth enumerates every
+# valuation of them.
+random_db = functools.partial(
+    gen.random_db,
+    tables=gen.RS,
+    values=(1, 2, 3),
+    null_rate=0.3,
+    rows=(1, 3),
+    null_budget=3,
+)
 
 
 @pytest.mark.parametrize("name", sorted(POSITIVE_QUERIES))

@@ -2,6 +2,7 @@
 potential answers, against brute-force ground truth on random databases.
 """
 
+import functools
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from repro.certain import (
     represents_potential_answers,
 )
 from repro.data import Database, Null, Relation
+from repro.testing import gen
 from repro.translate import translate_improved
 from repro.translate.improved import certain_query, possible_query
 
@@ -65,27 +67,16 @@ QUERY_MENU = {
 }
 
 
-def random_db(rng: random.Random, null_rate: float = 0.35) -> Database:
-    # Brute-force ground truth enumerates |domain|^nulls valuations, so
-    # cap the number of nulls per database to keep tests fast.
-    null_budget = 3
-
-    def cell():
-        nonlocal null_budget
-        if null_budget and rng.random() < null_rate:
-            null_budget -= 1
-            return Null()
-        return rng.choice([1, 2, 3])
-
-    def rows(n):
-        return [(cell(), cell()) for _ in range(n)]
-
-    return Database(
-        {
-            "R": Relation(("A", "B"), rows(rng.randint(1, 3))),
-            "S": Relation(("C", "D"), rows(rng.randint(1, 3))),
-        }
-    )
+# At most three nulls: brute-force ground truth enumerates every
+# valuation of them.
+random_db = functools.partial(
+    gen.random_db,
+    tables=gen.RS,
+    values=(1, 2, 3),
+    null_rate=0.35,
+    rows=(1, 3),
+    null_budget=3,
+)
 
 
 @pytest.mark.parametrize("name", sorted(QUERY_MENU))

@@ -1,5 +1,6 @@
 """The Figure 2 translation: soundness and its Section 5 blow-up."""
 
+import functools
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from repro.algebra import (
 )
 from repro.algebra.evaluate import Evaluator
 from repro.certain import certain_answers_with_nulls
-from repro.data import Database, Null, Relation
+from repro.testing import gen
 from repro.translate import translate_libkin
 from repro.experiments.infeasible import make_rst_database, section6_example_query
 
@@ -39,25 +40,16 @@ QUERIES = [
 ]
 
 
-def random_db(rng, null_rate=0.3):
-    null_budget = 3  # keeps valuation enumeration small
-
-    def cell():
-        nonlocal null_budget
-        if null_budget and rng.random() < null_rate:
-            null_budget -= 1
-            return Null()
-        return rng.choice([1, 2])
-
-    def rows(n):
-        return [(cell(), cell()) for _ in range(n)]
-
-    return Database(
-        {
-            "R": Relation(("A", "B"), rows(rng.randint(1, 2))),
-            "S": Relation(("C", "D"), rows(rng.randint(1, 2))),
-        }
-    )
+# At most three nulls: brute-force ground truth enumerates every
+# valuation of them.
+random_db = functools.partial(
+    gen.random_db,
+    tables=gen.RS,
+    values=(1, 2),
+    null_rate=0.3,
+    rows=(1, 2),
+    null_budget=3,
+)
 
 
 @pytest.mark.parametrize("qi", range(len(QUERIES)))
