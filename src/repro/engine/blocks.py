@@ -22,6 +22,7 @@ so ``EXISTS`` probes stop at the first match.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN, ThreeValued, from_bool
@@ -97,9 +98,16 @@ class ExecContext:
         #: (:class:`~repro.engine.stats.TableBytesMeter` estimates), used
         #: to enforce ``ResourceLimits.max_probe_table_bytes``
         self.table_bytes = 0
-        #: registries for :meth:`set_limits` invalidation
-        self._blocks: List["CompiledBlock"] = []
-        self._probe_preds: List[object] = []
+        #: registries for :meth:`set_limits` invalidation; weak, so the
+        #: context and its blocks form no reference cycle and a finished
+        #: statement's hash tables are freed as soon as its executor goes
+        self._block_refs: List[weakref.ref] = []
+        self._probe_pred_refs: List[weakref.ref] = []
+
+    @property
+    def _blocks(self) -> List["CompiledBlock"]:
+        """The live blocks compiled in this context, in compile order."""
+        return _live(self._block_refs)
 
     def set_limits(self, limits: Optional[ResourceLimits]) -> None:
         """Swap the resource limits, invalidating limit-dependent state.
@@ -117,7 +125,7 @@ class ExecContext:
         self.governor = (
             None if limits is None or limits.unlimited else LimitGovernor(limits)
         )
-        for pred in self._probe_preds:
+        for pred in _live(self._probe_pred_refs):
             _reset_decor(pred)
         for block in self._blocks:
             block._reset_runtime()
@@ -331,7 +339,7 @@ class _Exists(_Cond):
     __slots__ = (
         "block", "negated", "needed", "local_keys", "has_outer",
         "_cache", "decor", "_table", "_memo", "_memo_keys",
-        "_decor0", "_saved_probes",
+        "_decor0", "_saved_probes", "__weakref__",
     )
 
     def __init__(self, block: "CompiledBlock", negated: bool, parent_scope: CompileScope):
@@ -344,12 +352,12 @@ class _Exists(_Cond):
         self.has_outer = any(res.scope is not parent_scope for res in block.external)
         self._cache: Optional[ThreeValued] = None
         self.decor = _pure_probe_plan(block, parent_scope) if block.ctx.decorrelate else None
-        self._table: Optional[Set[Tuple]] = None
+        self._table: Optional[Dict[Tuple, None]] = None
         self._memo: Dict[Tuple, ThreeValued] = {}
         self._memo_keys = tuple(dict.fromkeys(res.key for res in block.external))
         self._decor0 = self.decor
         self._saved_probes = None
-        block.ctx._probe_preds.append(self)
+        block.ctx._probe_pred_refs.append(weakref.ref(self))
 
     def eval(self, cursor, env) -> ThreeValued:
         block = self.block
@@ -361,7 +369,7 @@ class _Exists(_Cond):
         slotmap, row = cursor
         if self.decor is not None:
             if self._table is None:
-                self._build_table()
+                _build_probe_table(self, None)
             table = self._table
             if table is not None:
                 ctx.decorrelated_probes += 1
@@ -373,10 +381,8 @@ class _Exists(_Cond):
                     else:
                         found = (value,) in table
                 else:
-                    probe = tuple(row[slotmap[key]] for _local, key in decor)
-                    if not ctx.marked_nulls and any(
-                        isinstance(v, Null) for v in probe
-                    ):
+                    probe = tuple([row[slotmap[key]] for _local, key in decor])
+                    if not ctx.marked_nulls and _has_null(probe):
                         found = False
                     else:
                         found = probe in table
@@ -398,60 +404,6 @@ class _Exists(_Cond):
         result = self._probe(env2)
         self._memo[memo_key] = result
         return result
-
-    def _build_table(self) -> None:
-        """One-pass hash semi-join build: inner keys that have witnesses."""
-        block = self.block
-        if block._order is not None:
-            # The block was already planned with its probes baked in
-            # (e.g. EXPLAIN prepared it); replan without them.
-            block._reset_runtime()
-        ctx = block.ctx
-        saved_probes = block.probes
-        block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
-        self._saved_probes = saved_probes
-        locals_ = tuple(local for local, _key in self.decor)
-        marked = ctx.marked_nulls
-        cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
-        byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
-        meter = TableBytesMeter()
-        before = ctx.rows_examined
-        table: Set[Tuple] = set()
-        single = locals_[0] if len(locals_) == 1 else None
-        positions: Optional[Tuple[int, ...]] = None
-        for slotmap, row in block.iterate({}):
-            if cap is not None and ctx.rows_examined - before > cap:
-                _degrade(self, block, saved_probes, before)
-                return
-            # The block yields one shared slotmap; resolve key positions
-            # once and index rows directly from then on.
-            if positions is None:
-                positions = tuple(slotmap[local] for local in locals_)
-            if single is not None:
-                value = row[positions[0]]
-                if not marked and isinstance(value, Null):
-                    continue
-                key = (value,)
-            else:
-                key = tuple(row[p] for p in positions)
-                if not marked and any(is_null(v) for v in key):
-                    continue
-            if key in table:
-                continue
-            table.add(key)
-            meter.add(key)
-            if (
-                byte_cap is not None
-                and meter.should_check()
-                and meter.over_budget(ctx.table_bytes, byte_cap)
-            ):
-                _degrade(self, block, saved_probes, before)
-                return
-        ctx.probe_build_rows += ctx.rows_examined - before
-        ctx.rows_examined = before
-        ctx.probe_tables_built += 1
-        ctx.table_bytes += meter.approx_bytes()
-        self._table = table
 
     def _probe(self, env) -> ThreeValued:
         found = False
@@ -543,7 +495,7 @@ class _InSubquery(_Cond):
     __slots__ = (
         "expr_fn", "block", "out_fn", "negated", "needed", "local_keys", "has_outer",
         "marked", "_cache", "decor", "_table", "_memo", "_memo_keys",
-        "_decor0", "_saved_probes",
+        "_decor0", "_saved_probes", "__weakref__",
     )
 
     def __init__(
@@ -575,7 +527,7 @@ class _InSubquery(_Cond):
         self._memo_keys = tuple(dict.fromkeys(res.key for res in block.external))
         self._decor0 = self.decor
         self._saved_probes = None
-        block.ctx._probe_preds.append(self)
+        block.ctx._probe_pred_refs.append(weakref.ref(self))
 
     def _values(self, env) -> List[object]:
         out_fn = self.out_fn
@@ -597,11 +549,11 @@ class _InSubquery(_Cond):
         slotmap, row = cursor
         if self.decor is not None:
             if self._table is None:
-                self._build_table()
+                _build_probe_table(self, self.out_fn)
             if self._table is not None:
-                probe = tuple(row[slotmap[key]] for _local, key in self.decor)
+                probe = tuple([row[slotmap[key]] for _local, key in self.decor])
                 ctx.decorrelated_probes += 1
-                if not ctx.marked_nulls and any(is_null(v) for v in probe):
+                if not ctx.marked_nulls and _has_null(probe):
                     return ()  # a null key never compares TRUE
                 return self._table.get(probe, ())
         env2 = dict(env)
@@ -622,50 +574,91 @@ class _InSubquery(_Cond):
         self._memo[memo_key] = values
         return values
 
-    def _build_table(self) -> None:
-        """One-pass build: inner output values grouped by correlated key."""
-        block = self.block
-        if block._order is not None:
-            # Planned with its probes baked in (e.g. EXPLAIN prepared
-            # it); replan without them.
-            block._reset_runtime()
-        ctx = block.ctx
-        saved_probes = block.probes
-        block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
-        self._saved_probes = saved_probes
-        locals_ = tuple(local for local, _key in self.decor)
-        marked = ctx.marked_nulls
-        cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
-        byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
-        meter = TableBytesMeter()
-        before = ctx.rows_examined
-        table: Dict[Tuple, List[object]] = {}
-        out_fn = self.out_fn
-        for sub_cursor in block.iterate({}):
-            if cap is not None and ctx.rows_examined - before > cap:
-                _degrade(self, block, saved_probes, before)
-                return
-            sub_slotmap, sub_row = sub_cursor
-            key = tuple(sub_row[sub_slotmap[local]] for local in locals_)
-            if not marked and any(is_null(v) for v in key):
+
+def _build_probe_table(pred, out_fn) -> None:
+    """Decorrelate *pred* (an :class:`_Exists` or :class:`_InSubquery`):
+    one pass over its inner block, stripped of the correlated probes,
+    groups the rows by the correlated key columns.
+
+    ``pred._table`` maps each key with a witness to its output values
+    (``out_fn`` applied to each row), or to ``None`` when *out_fn* is
+    ``None`` (``EXISTS`` needs only the keys).  Rows whose key holds a
+    null are skipped under SQL nulls: such a key never compares TRUE.
+    Exceeding ``max_probe_build_rows`` or the byte budget abandons the
+    build through :func:`_degrade`.
+    """
+    block = pred.block
+    if block._order is not None:
+        # The block was already planned with its probes baked in
+        # (e.g. EXPLAIN prepared it); replan without them.
+        block._reset_runtime()
+    ctx = block.ctx
+    saved_probes = block.probes
+    block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
+    pred._saved_probes = saved_probes
+    locals_ = [local for local, _key in pred.decor]
+    marked = ctx.marked_nulls
+    cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
+    byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
+    meter = TableBytesMeter()
+    before = ctx.rows_examined
+    table: Dict[Tuple, Optional[List[object]]] = {}
+    get = table.get
+    positions: Optional[List[int]] = None
+    single = None
+    for cursor in block.iterate({}):
+        if cap is not None and ctx.rows_examined - before > cap:
+            _degrade(pred, block, saved_probes, before)
+            return
+        slotmap, row = cursor
+        # The block yields one shared slotmap; resolve key positions
+        # once and index rows directly from then on.
+        if positions is None:
+            positions = [slotmap[local] for local in locals_]
+            single = positions[0] if len(positions) == 1 else None
+        if single is not None:
+            value = row[single]
+            if not marked and isinstance(value, Null):
                 continue
-            bucket = table.get(key)
-            if bucket is None:
-                bucket = table[key] = []
-                meter.add(key)
-                if (
-                    byte_cap is not None
-                    and meter.should_check()
-                    and meter.over_budget(ctx.table_bytes, byte_cap)
-                ):
-                    _degrade(self, block, saved_probes, before)
-                    return
-            bucket.append(out_fn(sub_cursor, {}))
-        ctx.probe_build_rows += ctx.rows_examined - before
-        ctx.rows_examined = before
-        ctx.probe_tables_built += 1
-        ctx.table_bytes += meter.approx_bytes()
-        self._table = table
+            key = (value,)
+        else:
+            key = tuple([row[p] for p in positions])
+            if not marked and _has_null(key):
+                continue
+        bucket = get(key, _MISSING)
+        if bucket is _MISSING:
+            bucket = table[key] = None if out_fn is None else []
+            if _over_budget(meter, key, ctx, byte_cap):
+                _degrade(pred, block, saved_probes, before)
+                return
+        if bucket is not None:
+            bucket.append(out_fn(cursor, {}))
+    ctx.probe_build_rows += ctx.rows_examined - before
+    ctx.rows_examined = before
+    ctx.probe_tables_built += 1
+    ctx.table_bytes += meter.approx_bytes()
+    pred._table = table
+
+
+def _has_null(key: Tuple) -> bool:
+    """Whether a hash key (or probe key) holds a null."""
+    for value in key:
+        if isinstance(value, Null):
+            return True
+    return False
+
+
+def _over_budget(meter: TableBytesMeter, key: Tuple, ctx, byte_cap) -> bool:
+    """Meter a new hash-table key; ``True`` when the table would push
+    ``ctx.table_bytes`` past *byte_cap*.  The budget is compared at the
+    meter's cadence (first entry, then every
+    :data:`~repro.engine.stats._CHECK_EVERY` new keys)."""
+    meter.add(key)
+    return (
+        byte_cap is not None
+        and meter.should_check()
+        and meter.over_budget(ctx.table_bytes, byte_cap)
+    )
 
 
 def _degrade(pred, block: "CompiledBlock", saved_probes, rows_before: int) -> None:
@@ -687,6 +680,11 @@ def _degrade(pred, block: "CompiledBlock", saved_probes, rows_before: int) -> No
     pred.decor = None
     pred._table = None
     pred._saved_probes = None
+
+
+def _live(refs: List[weakref.ref]) -> list:
+    """The referents of *refs* that are still alive, in order."""
+    return [obj for obj in (ref() for ref in refs) if obj is not None]
 
 
 def _reset_decor(pred) -> None:
@@ -769,7 +767,9 @@ class CompiledBlock:
 
         # Runtime state, built lazily on first iteration.
         self._filtered: Optional[Dict[str, List[Row]]] = None
-        self._order: Optional[List[Tuple[str, List[Tuple[int, object]]]]] = None
+        self._order: Optional[List[Tuple[str, List[Tuple[str, object]]]]] = None
+        #: per join step, the columns its hash index is keyed on
+        self._step_columns: Optional[List[Tuple[str, ...]]] = None
         self._slotmap: Optional[Dict[Key, int]] = None
         self._indexes: Dict[
             Tuple[str, Tuple[str, ...]], Optional[Dict[Tuple, List[Row]]]
@@ -782,7 +782,7 @@ class CompiledBlock:
         # Compiled batch filter passes, cached per binding (filter sets
         # are immutable after compilation, so these survive resets).
         self._passes: Dict[str, List[object]] = {}
-        ctx._blocks.append(self)
+        ctx._block_refs.append(weakref.ref(self))
 
     def _reset_runtime(self) -> None:
         """Drop lazily-built plan state so the next iteration re-plans
@@ -791,6 +791,7 @@ class CompiledBlock:
         :meth:`ExecContext.set_limits`)."""
         self._filtered = None
         self._order = None
+        self._step_columns = None
         self._slotmap = None
         self._indexes = {}
         self._attached = None
@@ -1036,7 +1037,8 @@ class CompiledBlock:
                 offset += 1
         self._slotmap = slotmap
 
-        # For each step, the equality keys usable to probe it.
+        # For each step, the equality keys usable to probe it: an outer
+        # expression ("env") or the slot of a column bound earlier ("row").
         steps: List[Tuple[str, List[Tuple[str, object]]]] = []
         bound = set()
         for binding in order:
@@ -1046,12 +1048,13 @@ class CompiledBlock:
                     keys.append((key[1], ("env", compile_expr(expr))))
             for a, b in self.equi:
                 if a[0] == binding and b[0] in bound:
-                    keys.append((a[1], ("row", b)))
+                    keys.append((a[1], ("row", slotmap[b])))
                 elif b[0] == binding and a[0] in bound:
-                    keys.append((b[1], ("row", a)))
+                    keys.append((b[1], ("row", slotmap[a])))
             steps.append((binding, keys))
             bound.add(binding)
         self._order = steps
+        self._step_columns = [tuple(col for col, _src in keys) for _b, keys in steps]
 
     def _attach_residuals(self) -> None:
         assert self._order is not None
@@ -1112,27 +1115,34 @@ class CompiledBlock:
         ctx = self.ctx
         marked = ctx.marked_nulls
         byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
+        # Governed builds poll the governor once per row (the cadence
+        # deadlines and cancel tokens count on); ungoverned ones never.
+        check = None if ctx.governor is None else ctx.check
         meter = TableBytesMeter()
         index = {}
+        get = index.get
+        single = positions[0] if len(positions) == 1 else None
         for row in self._get_filtered(binding):
-            ctx.check()
-            key = tuple(row[p] for p in positions)
-            if not marked and any(is_null(v) for v in key):
-                continue  # a null join key can never compare TRUE
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-                meter.add(key)
-                if (
-                    byte_cap is not None
-                    and meter.should_check()
-                    and meter.over_budget(ctx.table_bytes, byte_cap)
-                ):
-                    ctx.degradations += 1
-                    self._indexes[cache_key] = None
-                    return None
+            if check is not None:
+                check()
+            if single is not None:
+                value = row[single]
+                if not marked and isinstance(value, Null):
+                    continue  # a null join key can never compare TRUE
+                key = (value,)
             else:
+                key = tuple([row[p] for p in positions])
+                if not marked and _has_null(key):
+                    continue
+            bucket = get(key)
+            if bucket is not None:
                 bucket.append(row)
+                continue
+            index[key] = [row]
+            if _over_budget(meter, key, ctx, byte_cap):
+                ctx.degradations += 1
+                self._indexes[cache_key] = None
+                return None
         ctx.table_bytes += meter.approx_bytes()
         self._indexes[cache_key] = index
         return index
@@ -1147,10 +1157,16 @@ class CompiledBlock:
         source = self.sources[binding]
         positions = [source.columns.index(c) for c in columns]
         ctx = self.ctx
+        check = None if ctx.governor is None else ctx.check
+        single = positions[0] if len(positions) == 1 else None
         matches = []
         for row in self._get_filtered(binding):
-            ctx.check()
-            if tuple(row[p] for p in positions) == key:
+            if check is not None:
+                check()
+            if single is not None:
+                if (row[single],) == key:
+                    matches.append(row)
+            elif tuple([row[p] for p in positions]) == key:
                 matches.append(row)
         return matches
 
@@ -1174,22 +1190,22 @@ class CompiledBlock:
         slotmap = self._slotmap
         attached_fns = self._attached_fns
         step_actual = self._step_actual
+        step_columns = self._step_columns
 
         def rows_for(step_index: int, partial: Row) -> Iterator[Row]:
             binding, keys = self._order[step_index]
             if keys:
-                columns = tuple(col for col, _src in keys)
+                columns = step_columns[step_index]
                 index = self._index(binding, columns)
                 probe: List[object] = []
-                for _col, src in keys:
-                    kind, payload = src
+                for _col, (kind, payload) in keys:
                     if kind == "env":
                         probe.append(payload((slotmap, partial), env))
                     else:
-                        probe.append(partial[slotmap[payload]])
-                if not ctx.marked_nulls and any(is_null(v) for v in probe):
-                    return iter(())
+                        probe.append(partial[payload])
                 key = tuple(probe)
+                if not ctx.marked_nulls and _has_null(key):
+                    return iter(())
                 if index is None:  # over the byte budget: linear probe
                     return iter(self._linear_matches(binding, columns, key))
                 return iter(index.get(key, ()))
@@ -1246,7 +1262,12 @@ class CompiledBlock:
                 else:
                     yield from pipeline(step_index + 1, combined)
 
-        yield from pipeline(0, ())
+        try:
+            yield from pipeline(0, ())
+        finally:
+            # pipeline's closure refers to itself; break that cycle so
+            # the block (and its indexes) never waits for the collector.
+            del pipeline
 
     def _stream_filtered(self, source: _Source) -> Iterator[Row]:
         ctx = self.ctx

@@ -50,6 +50,9 @@ _EMPTY_NONNULL: NonNull = frozenset()
 _EMPTY_ENV: dict = {}
 _EMPTY_CURSOR: tuple = ({}, ())
 
+#: one disjunct of a lowered ``OR``: ``(pos, None, keep)`` or ``(pos, pos, cmp)``
+_Arm = Tuple[int, Optional[int], Callable]
+
 _ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
@@ -445,6 +448,79 @@ def _binary_pred(
     return p1, p2, cmp_fn
 
 
+def _or_arms(cond: "B._Bool", source: "B._Source") -> Optional[Tuple[_Arm, ...]]:
+    """One arm per disjunct of an ``OR`` filter, or ``None`` when some
+    disjunct lowers to neither a unary nor a binary column test.
+
+    An arm is ``(pos, None, keep)`` from :func:`_unary_pred` or
+    ``(pos, pos, comparator)`` from :func:`_binary_pred`; a row passes
+    when some arm is TRUE on it, tried in the ``OR``'s order (the 3VL
+    disjunction is TRUE exactly when one disjunct is).
+    """
+    arms: List[_Arm] = []
+    for item in cond.items:
+        unary = _unary_pred(item, source)
+        if unary is not None:
+            arms.append((unary[0], None, unary[1]))
+            continue
+        binary = _binary_pred(item, source)
+        if binary is None:
+            return None
+        arms.append(binary)
+    return tuple(arms)
+
+
+def _or_pass(arms: Tuple[_Arm, ...]) -> Callable:
+    """The batch pass of an ``OR`` lowered by :func:`_or_arms`.
+
+    The first arm is inlined in the comprehension; the others run, in
+    order, only on rows it does not accept.  An ``OR`` whose first arm
+    keeps most rows (Q3+'s ``l_suppkey <> $supp_key OR l_suppkey IS
+    NULL``) then costs about as much as a single-predicate pass.
+    """
+    (p1, p2, test), rest = arms[0], arms[1:]
+
+    def rest_true(row) -> bool:
+        for q1, q2, arm in rest:
+            if q2 is None:
+                if arm(row[q1]):
+                    return True
+            elif (
+                not isinstance((a := row[q1]), Null)
+                and not isinstance((b := row[q2]), Null)
+                and arm(a, b)
+            ):
+                return True
+        return False
+
+    if p2 is None:
+
+        def or_pass(rows, ids):
+            try:
+                return [i for i in ids if test(rows[i][p1]) or rest_true(rows[i])]
+            except TypeError as exc:
+                raise _incomparable(exc) from None
+
+        return or_pass
+
+    def or_pass(rows, ids):
+        try:
+            return [
+                i
+                for i in ids
+                if (
+                    not isinstance((a := rows[i][p1]), Null)
+                    and not isinstance((b := rows[i][p2]), Null)
+                    and test(a, b)
+                )
+                or rest_true(rows[i])
+            ]
+        except TypeError as exc:
+            raise _incomparable(exc) from None
+
+    return or_pass
+
+
 def build_batch_passes(
     source: "B._Source", conds: Sequence["B._Cond"]
 ) -> List[Callable]:
@@ -489,21 +565,9 @@ def build_batch_passes(
             passes.append(binary_pass)
             continue
         if isinstance(cond, B._Bool) and cond.op == "or":
-            unaries = [_unary_pred(item, source) for item in cond.items]
-            if all(u is not None for u in unaries) and len(unaries) == 2:
-                (p1, k1), (p2, k2) = unaries  # type: ignore[misc]
-
-                def or_pass(rows, ids, _p1=p1, _k1=k1, _p2=p2, _k2=k2):
-                    try:
-                        return [
-                            i
-                            for i in ids
-                            if _k1(rows[i][_p1]) or _k2(rows[i][_p2])
-                        ]
-                    except TypeError as exc:
-                        raise _incomparable(exc) from None
-
-                passes.append(or_pass)
+            arms = _or_arms(cond, source)
+            if arms is not None:
+                passes.append(_or_pass(arms))
                 continue
         fn = compile_cond(cond)
 
