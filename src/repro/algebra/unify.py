@@ -7,14 +7,15 @@ induced by the positional equalities and check that no class contains
 two distinct constants.
 
 For Codd nulls (no repetition) the check degenerates to the per-position
-test "equal constants, or at least one null" — but the general algorithm
-below is correct for both, and the paper's translations are stated for
-the general case.
+test "equal constants, or at least one null".  :func:`unifiable` takes
+that exact shortcut whenever no null occurs twice across the two tuples
+and builds the classes only otherwise; the paper's translations are
+stated for the general case.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.data.nulls import Null, is_null
 
@@ -47,13 +48,25 @@ def unifiable(r: Sequence[object], s: Sequence[object]) -> bool:
     """Return ``True`` iff ``r ⇑ s`` (some valuation makes them equal)."""
     if len(r) != len(s):
         return False
+    nulls: List[Null] = []
+    for a, b in zip(r, s):
+        if isinstance(a, Null):
+            nulls.append(a)
+            if isinstance(b, Null):
+                nulls.append(b)
+        elif isinstance(b, Null):
+            nulls.append(b)
+        elif a != b:
+            return False
+    if len(set(nulls)) == len(nulls):
+        # No null repeats: each null is equated with exactly one other
+        # value, so no class links two constants and the positionwise
+        # test above is exact.
+        return True
     uf = _UnionFind()
     for a, b in zip(r, s):
-        if not is_null(a) and not is_null(b):
-            if a != b:
-                return False
-            continue
-        uf.union(_key(a), _key(b))
+        if is_null(a) or is_null(b):
+            uf.union(_key(a), _key(b))
     # A class with two distinct constants is contradictory.
     constant_of: Dict[object, object] = {}
     for a, b in zip(r, s):

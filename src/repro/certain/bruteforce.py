@@ -41,7 +41,7 @@ from repro.algebra.expr import Expr
 from repro.data.database import Database
 from repro.data.nulls import is_null
 from repro.data.relation import Relation
-from repro.data.valuation import Valuation, enumerate_valuations
+from repro.data.valuation import Valuation, enumerate_valuations, orbit_valuations
 from repro.engine.limits import CancelToken
 from repro.engine.stats import SourceStats
 
@@ -102,7 +102,10 @@ class SearchStats:
     skip the verification loop entirely; ``world_reorders`` counts
     promotions of a killing world to the front of the rejecting-world
     queue.  ``emitted`` is the number of confirmed
-    tuples streamed (equals the result size).  ``world_elapsed`` is the
+    tuples streamed (equals the result size).  ``worlds`` is the number
+    of possible worlds the query was evaluated on (one per renaming
+    orbit of the valuations; fewer when a deadline or cancellation cut
+    the world preamble).  ``world_elapsed`` is the
     time spent evaluating the query on every possible world — a fixed
     preamble both exploration orders pay identically before any tuple
     *can* be confirmed (no emission without all worlds), so anytime
@@ -124,6 +127,7 @@ class SearchStats:
     world_reorders: int = 0
     cancelled: bool = False
     emitted: int = 0
+    worlds: int = 0
 
     def summary(self) -> Dict[str, object]:
         """JSON-serialisable counter dump (checkpoint/bench payloads)."""
@@ -141,6 +145,7 @@ class SearchStats:
             "complete": self.complete,
             "cancelled": self.cancelled,
             "emitted": self.emitted,
+            "worlds": self.worlds,
             "elapsed": self.elapsed,
             "world_elapsed": self.world_elapsed,
         }
@@ -431,7 +436,11 @@ def certain_answers_with_nulls(
     For every candidate tuple ``ā`` over ``adom(D)`` and every valuation
     ``v`` into ``Const(D)`` plus fresh constants, check
     ``v(ā) ∈ Q(v(D))``.  The default number of fresh constants (one per
-    null) is sufficient for first-order queries by genericity.
+    null) is sufficient for first-order queries by genericity, and the
+    same argument lets the search evaluate one valuation per renaming of
+    the fresh constants (:func:`~repro.data.valuation.orbit_valuations`):
+    ``ā`` holds no fresh constant, so renaming them cannot change the
+    test.
 
     With ``prune=True`` (the default) the candidate set is seeded from
     the first world's answers instead of all of ``adom^arity``, and each
@@ -482,7 +491,7 @@ def certain_answers_with_nulls(
     # A search-scoped budget leaves the world preamble unmetered; its
     # cutoff is fixed only once the preamble's actual cost is known.
     cutoff = None if deadline is None or search_scoped else start + deadline
-    valuations = list(enumerate_valuations(db, extra_constants=extra_constants))
+    valuations = list(orbit_valuations(db, extra_constants=extra_constants))
     layout = _world_layout(db)
     # Evaluate the query on every possible world once.
     worlds: List[Tuple[Valuation, Set[Row]]] = []
@@ -520,6 +529,7 @@ def certain_answers_with_nulls(
         exhaustive_candidates=len(db.active_domain()) ** arity,
         strategy=order,
         world_elapsed=world_elapsed,
+        worlds=len(worlds),
     )
     if timed_out or cancelled:
         stats.complete = False
@@ -623,7 +633,12 @@ def certain_answers(query: Expr, db: Database, **kwargs) -> Relation:
 def possible_answer_union(
     query: Expr, db: Database, extra_constants: Optional[int] = None
 ) -> Set[Row]:
-    """``⋃_v Q(v(D))`` over the enumerated valuations (maybe-answers)."""
+    """``⋃_v Q(v(D))`` over the enumerated valuations (maybe-answers).
+
+    The union holds fresh constants, so renamings of one world add
+    different rows: this walks the full product, not one valuation per
+    renaming orbit.
+    """
     everything: Set[Row] = set()
     for v in enumerate_valuations(db, extra_constants=extra_constants):
         complete = v.apply_database(db)
@@ -640,9 +655,11 @@ def represents_potential_answers(
     """Check Definition 3: ``Q(v(D)) ⊆ v(A)`` for every valuation ``v``.
 
     Used to validate the ``Q?`` side of the improved translation
-    (Lemma 2) on small instances.
+    (Lemma 2) on small instances.  ``A`` holds no fresh constant, so
+    renaming the fresh constants maps both sides alike and one valuation
+    per renaming orbit decides the test.
     """
-    for v in enumerate_valuations(db, extra_constants=extra_constants):
+    for v in orbit_valuations(db, extra_constants=extra_constants):
         complete = v.apply_database(db)
         answers = set(evaluate(query, complete, semantics="naive").rows)
         image = {v.apply_row(row) for row in candidate.rows}

@@ -1,10 +1,12 @@
 """Tuple unification (Definition 2): cases and laws."""
 
+import itertools
+
 from hypothesis import given, strategies as st
 
 from repro.algebra.unify import positionwise_unifiable, unifiable, unify_rows
 from repro.data.nulls import Null
-from repro.data.valuation import Valuation
+from repro.data.valuation import Valuation, fresh_constants
 
 
 class TestCases:
@@ -102,3 +104,33 @@ def test_unifiable_implies_positionwise(r, s):
 @given(r=tuples3, s=tuples3)
 def test_unify_rows_consistent_with_unifiable(r, s):
     assert (unify_rows(r, s) is not None) == unifiable(r, s)
+
+
+def _unifiable_by_definition(r, s):
+    """Some valuation into the tuples' constants plus one fresh value per
+    null makes them equal (genericity: no other domain can do better)."""
+    cells = list(r) + list(s)
+    nulls = sorted({v for v in cells if isinstance(v, Null)}, key=repr)
+    domain = sorted({v for v in cells if not isinstance(v, Null)}, key=repr)
+    domain += fresh_constants(len(nulls))
+    for images in itertools.product(domain, repeat=len(nulls)):
+        v = Valuation(dict(zip(nulls, images)))
+        if v.apply_row(r) == v.apply_row(s):
+            return True
+    return False
+
+
+# Two labels and two constants: repeats within and across tuples are
+# common, so both the positionwise fast path and union-find are drawn.
+pool_cells = st.one_of(st.integers(1, 2), st.builds(Null, st.sampled_from("xy")))
+same_length_pairs = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(
+        st.tuples(*[pool_cells] * n), st.tuples(*[pool_cells] * n)
+    )
+)
+
+
+@given(pair=same_length_pairs)
+def test_unifiable_matches_definition(pair):
+    r, s = pair
+    assert unifiable(r, s) == _unifiable_by_definition(r, s)
