@@ -11,8 +11,10 @@ ad-hoc SQL against the TPC-H schema:
 * ``rewrite``  — print the certain-answer rewriting ``Q+`` of a query
 * ``explain``  — cost-annotated plan of a query on a generated instance
 * ``lint``     — static soundness analysis of queries (see
-  ``docs/analyzer.md``); exits 1 when any query is unsound, 2 on
-  syntax/rewrite errors
+  ``docs/analyzer.md``); exits 1 when any query is unsound
+
+Every command exits 2 on a syntax, rewrite or engine error (for example
+an unknown table), after printing it to stderr.
 
 Each experiment accepts ``--paper-scale`` for settings closer to the
 paper's (slower) and a ``--seed``.
@@ -293,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from repro.engine.scope import EngineError
     from repro.sql.lexer import SqlSyntaxError
     from repro.sql.nullability import RewriteError
 
@@ -306,6 +309,9 @@ def main(argv=None) -> int:
         print(f"rewrite error: {err}", file=sys.stderr)
         for diag in err.diagnostics:
             print(f"  [{diag.rule}] {diag.message}", file=sys.stderr)
+        return 2
+    except EngineError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

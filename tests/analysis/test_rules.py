@@ -1,5 +1,8 @@
 """Unit tests for the analyzer's rule catalog, one shape per rule."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -54,6 +57,17 @@ def test_catalog_is_consistent():
         assert rule.id == rule_id
         assert rule.severity in (UNSOUND, SUSPECT)
         assert rule.slug and rule.title and rule.explanation
+
+
+def test_docs_table_matches_catalog():
+    # docs/analyzer.md renders the catalog; its table may list no rule
+    # that does not exist and must miss none that does.
+    doc = Path(__file__).resolve().parents[2] / "docs" / "analyzer.md"
+    rows = re.findall(
+        r"^\| (SA\d{3}) \| ([a-z-]+) \| ([a-z]+) \|", doc.read_text(), re.MULTILINE
+    )
+    assert len(rows) == len(set(rows))
+    assert sorted(rows) == sorted((r.id, r.slug, r.severity) for r in RULES.values())
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,14 @@ class TestExplainCommand:
         assert main(["explain", "SELECT o_orderkey FROM orders", "--scale", "0.05"]) == 0
         assert "scan orders" in capsys.readouterr().out
 
+    def test_unknown_table_exits_2(self, capsys):
+        # An EngineError is a usage error (exit 2), never a traceback
+        # with exit 1, which ``lint`` reserves for "unsound".
+        assert main(["explain", "SELECT x FROM nope", "--scale", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown table 'nope'" in captured.err
+        assert captured.out == ""
+
 
 class TestLintCommand:
     def test_unsound_named_query_exits_1(self, capsys):

@@ -32,6 +32,8 @@ from repro.certain import (
     represents_potential_answers,
 )
 from repro.data import Database, Null, Relation
+from repro.sql.parser import parse_sql
+from repro.sql.to_algebra import sql_to_algebra
 from repro.testing import gen
 from repro.translate import translate_improved
 from repro.translate.improved import certain_query, possible_query
@@ -158,6 +160,31 @@ def test_theorem1_fuzzed_difference(seed):
     assert set(got_plus.rows) <= set(cert.rows)
     got_poss = evaluate(poss, db, semantics="naive")
     assert represents_potential_answers(got_poss, query, db)
+
+
+def test_theorem1_on_sql_translated_plans():
+    """Q+ ⊆ cert(Q, D) on the plans ``sql_to_algebra`` builds from the
+    ALGEBRA_TEMPLATES, for both the naive and the SQL-adjusted Q+."""
+    checked = 0
+    for seed in range(4):
+        for template, text in enumerate(gen.ALGEBRA_TEMPLATES):
+            rng = random.Random(seed * 101 + template)
+            db = gen.random_db(
+                rng, tables=gen.RST, values=(1, 2, 3), null_rate=0.3,
+                rows=(1, 3), null_budget=3,
+            )
+            sql = text.format(c=rng.randint(1, 3), d=rng.randint(1, 3))
+            query = sql_to_algebra(parse_sql(sql), db)
+            try:
+                cert = set(certain_answers_with_nulls(query, db).rows)
+            except TypeError:  # an order comparison met a fresh constant
+                continue
+            plus = evaluate(certain_query(query), db, "naive")
+            adjusted = evaluate(certain_query(query, sql_adjusted=True), db, "sql")
+            assert set(plus.rows) <= cert, (sql, set(plus.rows) - cert)
+            assert set(adjusted.rows) <= cert, (sql, set(adjusted.rows) - cert)
+            checked += 1
+    assert checked >= 50
 
 
 # ---------------------------------------------------------------------------
